@@ -26,9 +26,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use verdict_bench::{flag_value, fmt_duration, host_provenance_json, sample_cores, timed};
-use verdict_mc::params::{synthesize, synthesize_first_safe, Property, SynthesisEngine};
+use verdict_mc::params::{synthesize, Property, SynthesisEngine};
 use verdict_mc::prelude::*;
-use verdict_mc::Stats;
+use verdict_mc::{Durability, Stats};
 use verdict_models::{RolloutModel, RolloutSpec, Topology};
 
 fn verdict_str(r: &CheckResult) -> &'static str {
@@ -77,14 +77,24 @@ fn main() {
     let params = [model.p, model.k, model.m];
     let engine = SynthesisEngine::KInduction;
 
+    let sweep = |opts: &CheckOptions, first_safe: bool| {
+        let none = Durability::none();
+        synthesize(
+            &model.system,
+            &params,
+            &prop,
+            engine,
+            opts,
+            first_safe,
+            &none,
+        )
+        .unwrap()
+    };
     let seq_opts = CheckOptions::with_depth(depth).with_jobs(1);
-    let (seq, seq_wall) =
-        timed(|| synthesize(&model.system, &params, &prop, engine, &seq_opts).unwrap());
+    let (seq, seq_wall) = timed(|| sweep(&seq_opts, false));
     let par_opts = CheckOptions::with_depth(depth).with_jobs(jobs);
-    let (par, par_wall) =
-        timed(|| synthesize(&model.system, &params, &prop, engine, &par_opts).unwrap());
-    let (first_safe, fs_wall) =
-        timed(|| synthesize_first_safe(&model.system, &params, &prop, engine, &par_opts).unwrap());
+    let (par, par_wall) = timed(|| sweep(&par_opts, false));
+    let (first_safe, fs_wall) = timed(|| sweep(&par_opts, true));
     assert_eq!(seq.verdicts.len(), par.verdicts.len());
     for (a, b) in seq.verdicts.iter().zip(&par.verdicts) {
         assert_eq!(a.values, b.values, "sharding must not reorder verdicts");
@@ -134,7 +144,7 @@ fn main() {
         let report = Verifier::new(&sys)
             .engine(EngineKind::Portfolio)
             .options(opts.clone())
-            .check_invariant_report(&paper_model.property)
+            .check(&CompiledProperty::Invariant(paper_model.property.clone()))
             .unwrap();
         let (b, b_wall) = timed(|| {
             verdict_mc::engine(EngineKind::Bmc)

@@ -27,7 +27,7 @@ use std::time::Duration;
 use verdict_bench::{flag_value, fmt_duration, host_provenance_json, sample_cores, timed};
 use verdict_dsl::{parse, CompiledProperty};
 use verdict_mc::params::{synthesize, Property, SynthesisEngine, SynthesisResult};
-use verdict_mc::CheckOptions;
+use verdict_mc::{CheckOptions, Durability};
 use verdict_models::{RolloutModel, RolloutSpec, Topology};
 use verdict_ts::{System, VarId};
 
@@ -89,19 +89,14 @@ fn run_case(
             .with_jobs(jobs)
             .with_incremental(incremental)
     };
-    let (clone_r, clone_seq) = best_of(reps, || {
-        synthesize(sys, params, prop, engine, &opts(1, false)).unwrap()
-    });
-    let (inc_r, inc_seq) = best_of(reps, || {
-        synthesize(sys, params, prop, engine, &opts(1, true)).unwrap()
-    });
+    let sweep = |opts: CheckOptions| {
+        synthesize(sys, params, prop, engine, &opts, false, &Durability::none()).unwrap()
+    };
+    let (clone_r, clone_seq) = best_of(reps, || sweep(opts(1, false)));
+    let (inc_r, inc_seq) = best_of(reps, || sweep(opts(1, true)));
     assert_same_verdicts(&clone_r, &inc_r, name);
-    let (clone_p, clone_par) = best_of(reps, || {
-        synthesize(sys, params, prop, engine, &opts(jobs, false)).unwrap()
-    });
-    let (inc_p, inc_par) = best_of(reps, || {
-        synthesize(sys, params, prop, engine, &opts(jobs, true)).unwrap()
-    });
+    let (clone_p, clone_par) = best_of(reps, || sweep(opts(jobs, false)));
+    let (inc_p, inc_par) = best_of(reps, || sweep(opts(jobs, true)));
     assert_same_verdicts(&clone_r, &clone_p, name);
     assert_same_verdicts(&clone_r, &inc_p, name);
 

@@ -7,17 +7,18 @@
 //! verdict fig1-dot
 //! ```
 
-use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
-use verdict_dsl::{parse, CompiledProperty};
-use verdict_journal::VerdictTag;
-use verdict_mc::{
-    certify, CheckOptions, CheckResult, EngineKind, PropertyKind, TraceSink, UnknownReason,
-    Verifier, STATS_SCHEMA_VERSION,
+use verdict_dsl::parse;
+use verdict_journal::json::quote;
+use verdict_mc::params::SynthesisResult;
+use verdict_mc::spec::{
+    verdict_tag, ExecContext, JobKind, JobReport, JobSpec, JournalHook, PropertyOutcome, VerdictRow,
 };
+use verdict_mc::{CheckResult, EngineKind, TraceSink, STATS_SCHEMA_VERSION};
 
 mod scenarios_cmd;
 mod server_cmd;
@@ -172,8 +173,8 @@ EXIT CODES (check):
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("check") => check(&args[1..]),
-        Some("synth") => synth(&args[1..]),
+        Some("check") => local(JobKind::Check, &args[1..]),
+        Some("synth") => local(JobKind::Synth, &args[1..]),
         Some("blast") => blast(&args[1..]),
         Some("serve") => server_cmd::serve(&args[1..]),
         Some("submit") => server_cmd::submit(&args[1..]),
@@ -204,13 +205,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses the shared engine-budget flags through the unified
-/// `verdict_mc::spec` path (a typo'd value is an error, not a silent
-/// fallback to the default).
-fn options_from(args: &[String]) -> Result<CheckOptions, String> {
-    verdict_mc::spec::options_from_args(args)
-}
-
 /// Installs the deterministic fault-injection plan from `--fault SPEC`,
 /// `--fault-seed N`, or the `VERDICT_FAULT` environment variable
 /// (testing only; a no-op when none is given).
@@ -238,36 +232,27 @@ fn install_faults(args: &[String]) -> Result<(), String> {
 
 /// Journal flags shared by `check` and `synth`: `--resume PATH` implies
 /// journaling to the same file.
-fn journal_flags(args: &[String]) -> Result<(Option<String>, bool), String> {
-    let journal = flag_value(args, "--journal");
-    let resume = flag_value(args, "--resume");
-    if journal.is_some() && resume.is_some() {
-        return Err(
+fn journal_flags(args: &[String]) -> Result<Option<JournalHook>, String> {
+    match (flag_value(args, "--journal"), flag_value(args, "--resume")) {
+        (Some(_), Some(_)) => Err(
             "--journal and --resume are mutually exclusive (resume appends to the same journal)"
                 .to_string(),
-        );
+        ),
+        (Some(path), None) => Ok(Some(JournalHook {
+            path: path.into(),
+            resume: false,
+        })),
+        (None, Some(path)) => Ok(Some(JournalHook {
+            path: path.into(),
+            resume: true,
+        })),
+        (None, None) => Ok(None),
     }
-    let is_resume = resume.is_some();
-    Ok((resume.or(journal), is_resume))
-}
-
-/// True for `Unknown` reasons that indicate the infrastructure (not the
-/// model) failed — these map to exit code 1 under the check contract.
-fn infra_failure(r: &CheckResult) -> bool {
-    matches!(
-        r,
-        CheckResult::Unknown(
-            UnknownReason::EngineFailure
-                | UnknownReason::ResourceExhausted
-                | UnknownReason::CertificateRejected
-                | UnknownReason::HungWorker
-        )
-    )
 }
 
 /// What a run concluded, boiled down to the bits the exit-code contract
-/// cares about. Shared by `check` and `synth` so the mapping lives in
-/// exactly one place.
+/// cares about. Shared by `check`, `synth`, `submit` and `scenarios` so
+/// the mapping lives in exactly one place.
 #[derive(Clone, Copy, Debug, Default)]
 struct Outcome {
     /// Ctrl-C arrived (workers drained, journal intact).
@@ -276,6 +261,21 @@ struct Outcome {
     violated: bool,
     /// Some verdict is unknown for an infrastructure reason.
     infra_unknown: bool,
+}
+
+impl Outcome {
+    /// What a job's verdict rows mean for the exit code. A check counts
+    /// violations and infrastructure unknowns; a synth sweep's unsafe or
+    /// unknown assignments are its answer (it maps the safe region), so
+    /// only interruption counts there.
+    fn of(kind: JobKind, rows: &[VerdictRow], interrupted: bool) -> Outcome {
+        let check = kind == JobKind::Check;
+        Outcome {
+            interrupted,
+            violated: check && rows.iter().any(|r| r.verdict == "unsafe"),
+            infra_unknown: check && rows.iter().any(VerdictRow::infra_failure),
+        }
+    }
 }
 
 /// The process exit code for an [`Outcome`]: 130 interrupted, 2
@@ -293,41 +293,40 @@ fn exit_code(o: &Outcome) -> u8 {
     }
 }
 
-/// Minimal JSON string quoting (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The coarse verdict bucket used in JSON output and the exit code —
-/// the shared `verdict_mc::spec` mapping, so local and server rows
-/// always use the same tags.
-fn verdict_tag(r: &CheckResult) -> &'static str {
-    verdict_mc::spec::verdict_tag(r)
-}
-
 /// Pulls `--flag value` out of an argument list (shared
 /// `verdict_mc::spec` helper).
 use verdict_mc::spec::flag_value;
 
-fn check(args: &[String]) -> ExitCode {
+/// The runtime half of a local `check`/`synth` job: the shared
+/// engine-budget flags as base options, plus the `--trace` sink (check
+/// only), fault injection, the Ctrl-C stop flag, `--first-safe` and the
+/// journal.
+fn exec_context(kind: JobKind, args: &[String]) -> Result<ExecContext, String> {
+    let mut base = verdict_mc::spec::options_from_args(args)?;
+    if kind == JobKind::Check {
+        if let Some(p) = flag_value(args, "--trace") {
+            let sink = TraceSink::create(Path::new(&p)).map_err(|e| format!("--trace {p}: {e}"))?;
+            base = base.with_trace(Arc::new(sink));
+        }
+    }
+    install_faults(args)?;
+    let journal = journal_flags(args)?;
+    let base = base.with_stop(sigint::install());
+    Ok(ExecContext {
+        jobs: base.effective_jobs(),
+        first_safe: args.iter().any(|a| a == "--first-safe"),
+        journal,
+        base,
+        ..ExecContext::default()
+    })
+}
+
+/// `verdict check` and `verdict synth`: the flags become a [`JobSpec`]
+/// and an [`ExecContext`], the spec is validated and run through the
+/// shared spec path, and its report is printed.
+fn local(kind: JobKind, args: &[String]) -> ExitCode {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("check: missing model path\n\n{USAGE}");
+        eprintln!("{}: missing model path\n\n{USAGE}", kind.tag());
         return ExitCode::FAILURE;
     };
     let source = match std::fs::read_to_string(path) {
@@ -337,243 +336,153 @@ fn check(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let model = match parse(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let engine = match flag_value(args, "--engine").as_deref() {
-        None | Some("auto") => EngineKind::Auto,
-        Some("bmc") => EngineKind::Bmc,
-        Some("kind") => EngineKind::KInduction,
-        Some("bdd") => EngineKind::Bdd,
-        Some("explicit") => EngineKind::Explicit,
-        Some("smtbmc") => EngineKind::SmtBmc,
-        Some("portfolio") => EngineKind::Portfolio,
-        Some(other) => {
-            eprintln!("unknown engine `{other}`");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut opts = match options_from(args) {
-        Ok(o) => o,
+    let spec = match JobSpec::from_cli_args(kind, &source, args) {
+        Ok(spec) => spec,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let trace = match flag_value(args, "--trace") {
-        Some(p) => match TraceSink::create(Path::new(&p)) {
-            Ok(sink) => Some(Arc::new(sink)),
-            Err(e) => {
-                eprintln!("--trace {p}: {e}");
+    if let Err(e) = spec.validate() {
+        eprintln!("{path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    let ctx = match exec_context(kind, args) {
+        Ok(ctx) => ctx,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let started = std::time::Instant::now();
+    let report = match verdict_mc::spec::run(&spec, &ctx) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let outcome = Outcome::of(kind, &report.rows(&spec.engine), sigint::interrupted());
+    let json = args.iter().any(|a| a == "--json");
+    match report {
+        JobReport::Check(outcomes) => {
+            let stats_on = args.iter().any(|a| a == "--stats");
+            print_check(path, &outcomes, &ctx, json, stats_on, exit_code(&outcome))
+        }
+        JobReport::Synth {
+            property,
+            resumed,
+            result,
+            ..
+        } => {
+            if let (Some(j), true) = (&ctx.journal, resumed > 0) {
+                eprintln!(
+                    "resumed {resumed} decided assignment(s) from {}",
+                    j.path.display()
+                );
+            }
+            match result {
+                Ok(result) => {
+                    if json {
+                        print_synth_json(path, &property, &result, started.elapsed());
+                    } else {
+                        println!("property `{property}`:");
+                        print!("{result}");
+                    }
+                    ExitCode::from(exit_code(&outcome))
+                }
+                Err(e) => {
+                    eprintln!("synthesis failed: {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
+    }
+}
+
+/// Prints a check report, one line (text) or object (`--json`) per
+/// property; a property the engine refused ends the run with exit 1.
+fn print_check(
+    path: &str,
+    outcomes: &[(String, PropertyOutcome)],
+    ctx: &ExecContext,
+    json: bool,
+    stats_on: bool,
+    code: u8,
+) -> ExitCode {
+    let mut rows: Vec<String> = Vec::new();
+    for (name, outcome) in outcomes {
+        match outcome {
+            PropertyOutcome::Failed(e) => {
+                eprintln!("property `{name}`: {e}");
                 return ExitCode::FAILURE;
             }
-        },
-        None => None,
-    };
-    if let Some(sink) = &trace {
-        opts = opts.with_trace(sink.clone());
-    }
-    let stats_on = args.iter().any(|a| a == "--stats");
-    if let Err(e) = install_faults(args) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let opts = opts.with_stop(sigint::install());
-    let only = flag_value(args, "--prop");
-
-    let selected: Vec<&(String, CompiledProperty)> = model
-        .properties
-        .iter()
-        .filter(|(name, _)| only.as_deref().is_none_or(|p| p == name))
-        .collect();
-    if selected.is_empty() {
-        eprintln!(
-            "no matching properties (model has: {})",
-            model
-                .properties
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let (journal_path, resume) = match journal_flags(args) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Fingerprint material: property formulas (not just names), so an
-    // edited property body invalidates the journal.
-    let prop_specs: Vec<(String, String)> = selected
-        .iter()
-        .map(|(n, p)| (n.clone(), format!("{p:?}")))
-        .collect();
-    let (recorder, resumed) = match &journal_path {
-        Some(p) => {
-            match verdict_mc::durable::start_check_journal(
-                Path::new(p),
-                resume,
-                &model.system,
-                &prop_specs,
-                &engine.to_string(),
-            ) {
-                Ok((rec, map)) => (Some(rec), map),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => (None, HashMap::new()),
-    };
-
-    let json = args.iter().any(|a| a == "--json");
-    let mut any_violated = false;
-    let mut infra_unknown = false;
-    let mut rows: Vec<String> = Vec::new();
-    for (prop_idx, (name, property)) in selected.into_iter().enumerate() {
-        // A resumed verdict is reused only without --certify; with it,
-        // every property is re-verified (trivially sound). Only decided
-        // (safe/unsafe) verdicts are ever resumed — unknowns are
-        // filtered out by `start_check_journal` and re-solved here, so
-        // `--resume --retries N` can clear a journaled infra failure.
-        if !opts.certify {
-            if let Some(prev) = resumed.get(name.as_str()) {
-                any_violated |= prev.verdict == VerdictTag::Unsafe;
+            PropertyOutcome::Resumed(prev) if json => rows.push(format!(
+                "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":0,\"resumed\":true}}",
+                quote(name),
+                quote(prev.verdict.tag()),
+                quote(prev.verdict.tag()),
+                quote(&prev.engine),
+                quote("skipped"),
+            )),
+            PropertyOutcome::Resumed(prev) => println!(
+                "property `{name}` (resumed from journal, engine {}): {}",
+                prev.engine,
+                prev.verdict.tag()
+            ),
+            PropertyOutcome::Checked {
+                report,
+                certificate,
+            } => {
+                let (result, engine, wall) = (&report.result, report.winner, report.wall);
                 if json {
+                    let stats_field = if stats_on {
+                        let per_contender: Vec<String> = report
+                            .contender_stats
+                            .iter()
+                            .map(|(_, s)| s.counters_json())
+                            .collect();
+                        format!(
+                            ",\"stats\":{},\"contenders\":[{}]",
+                            report.stats.to_json(),
+                            per_contender.join(",")
+                        )
+                    } else {
+                        String::new()
+                    };
                     rows.push(format!(
-                        "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":0,\"resumed\":true}}",
-                        json_str(name),
-                        json_str(prev.verdict.tag()),
-                        json_str(prev.verdict.tag()),
-                        json_str(&prev.engine),
-                        json_str("skipped"),
+                        "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":{}{stats_field}}}",
+                        quote(name),
+                        quote(verdict_tag(result)),
+                        quote(&result.to_string()),
+                        quote(&engine.to_string()),
+                        quote(&certificate.to_string()),
+                        wall.as_millis()
                     ));
                 } else {
-                    println!(
-                        "property `{name}` (resumed from journal, engine {}): {}",
-                        prev.engine,
-                        prev.verdict.tag()
-                    );
+                    let cert_note = if ctx.base.certify {
+                        format!("  [certificate: {certificate}]")
+                    } else {
+                        String::new()
+                    };
+                    println!("property `{name}` ({wall:.2?}, engine {engine}): {result}{cert_note}");
+                    if stats_on {
+                        print_stats_text(&report.stats, &report.contender_stats);
+                    }
                 }
-                continue;
-            }
-        }
-        let kind = match property {
-            CompiledProperty::Invariant(_) => PropertyKind::Invariant,
-            CompiledProperty::Ltl(_) => PropertyKind::Ltl,
-            CompiledProperty::Ctl(_) => PropertyKind::Ctl,
-        };
-        let max_attempts = opts.retry.as_ref().map_or(1, |p| p.max_attempts);
-        let mut attempt = 1u32;
-        let (result, used_engine, wall, mut stats, contenders) = loop {
-            // Retries re-run the property with escalated budgets
-            // (timeout, clause/node ceilings) per the policy.
-            let run_opts = match &opts.retry {
-                Some(policy) if attempt > 1 => policy.escalate(&opts, attempt),
-                _ => opts.clone(),
-            };
-            // Every engine dispatches through the report path: portfolio
-            // runs report which engine won the race; solo engines report
-            // themselves and carry their own stats.
-            let verifier = Verifier::new(&model.system)
-                .engine(engine)
-                .options(run_opts);
-            let report = match property {
-                CompiledProperty::Invariant(p) => verifier.check_invariant_report(p),
-                CompiledProperty::Ltl(f) => verifier.check_ltl_report(f),
-                CompiledProperty::Ctl(f) => verifier.check_ctl_report(f),
-            };
-            let report = match report {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("property `{name}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let retryable = matches!(&report.result, CheckResult::Unknown(r) if r.retryable())
-                && !sigint::interrupted();
-            if retryable && attempt < max_attempts {
-                if let Some(policy) = &opts.retry {
-                    std::thread::sleep(policy.backoff_for(prop_idx as u64, attempt + 1));
-                }
-                attempt += 1;
-                continue;
-            }
-            break (
-                report.result,
-                report.winner,
-                report.wall,
-                report.stats,
-                report.contender_stats,
-            );
-        };
-        stats.retries += u64::from(attempt - 1);
-        let cert = certify::status(opts.certify, used_engine, kind, &result);
-        any_violated |= result.violated();
-        infra_unknown |= infra_failure(&result);
-        if let Some(rec) = &recorder {
-            rec.record_property(name, &result, &used_engine.to_string());
-        }
-        if json {
-            let stats_field = if stats_on {
-                let per_contender: Vec<String> =
-                    contenders.iter().map(|(_, s)| s.counters_json()).collect();
-                format!(
-                    ",\"stats\":{},\"contenders\":[{}]",
-                    stats.to_json(),
-                    per_contender.join(",")
-                )
-            } else {
-                String::new()
-            };
-            rows.push(format!(
-                "{{\"name\":{},\"verdict\":{},\"detail\":{},\"engine\":{},\"certificate\":{},\"wall_ms\":{}{stats_field}}}",
-                json_str(name),
-                json_str(verdict_tag(&result)),
-                json_str(&result.to_string()),
-                json_str(&used_engine.to_string()),
-                json_str(&cert.to_string()),
-                wall.as_millis()
-            ));
-        } else {
-            let cert_note = if opts.certify {
-                format!("  [certificate: {cert}]")
-            } else {
-                String::new()
-            };
-            println!("property `{name}` ({wall:.2?}, engine {used_engine}): {result}{cert_note}");
-            if stats_on {
-                print_stats_text(&stats, &contenders);
             }
         }
     }
-    if let Some(sink) = &trace {
+    if let Some(sink) = &ctx.base.trace {
         if let Err(e) = sink.flush() {
             eprintln!("--trace: {e}");
         }
     }
-    // Interruption takes precedence over the verdict-derived code, and
-    // the JSON document must report the code the process actually exits
-    // with.
-    let code = exit_code(&Outcome {
-        interrupted: sigint::interrupted(),
-        violated: any_violated,
-        infra_unknown,
-    });
+    // The JSON document reports the code the process actually exits with.
     if json {
         println!(
             "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"check\",\"model\":{},\"properties\":[{}],\"exit_code\":{code}}}",
-            json_str(path),
+            quote(path),
             rows.join(",")
         );
     }
@@ -621,37 +530,6 @@ fn print_stats_text(stats: &verdict_mc::Stats, contenders: &[(EngineKind, verdic
             stats.fixpoint_iterations, stats.states_visited
         );
     }
-    if !stats.server.is_zero() {
-        println!(
-            "  server: {} accepted, {} rejected, {} completed, {} recovered; \
-             wal {} appends in {} group commits ({} fsyncs, {} rotations)",
-            stats.server.jobs_accepted,
-            stats.server.jobs_rejected,
-            stats.server.jobs_completed,
-            stats.server.jobs_recovered,
-            stats.server.wal_appends,
-            stats.server.wal_group_commits,
-            stats.server.wal_fsyncs,
-            stats.server.wal_rotations
-        );
-    }
-    if !stats.supervision.is_zero() {
-        println!(
-            "  supervision: {} heartbeats, {} escalations, {} hung workers \
-             ({} respawned); hedges {} launched ({} won, {} lost, {} wasted); \
-             quarantine {} armed, {} hits",
-            stats.supervision.heartbeats,
-            stats.supervision.escalations,
-            stats.supervision.hung_workers,
-            stats.supervision.workers_respawned,
-            stats.supervision.hedges_launched,
-            stats.supervision.hedges_won,
-            stats.supervision.hedges_lost,
-            stats.supervision.hedges_wasted,
-            stats.supervision.quarantined,
-            stats.supervision.quarantine_hits
-        );
-    }
     println!(
         "  phases: encode {}us, solve {}us, certify {}us, replay {}us; {} depth samples",
         stats.phase_nanos(Phase::Encode) / 1_000,
@@ -670,181 +548,36 @@ fn print_stats_text(stats: &verdict_mc::Stats, contenders: &[(EngineKind, verdic
     }
 }
 
-fn synth(args: &[String]) -> ExitCode {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("synth: missing model path\n\n{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let model = match parse(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(param_list) = flag_value(args, "--params") else {
-        eprintln!("synth: --params a,b,... is required");
-        return ExitCode::FAILURE;
-    };
-    let mut params = Vec::new();
-    for name in param_list.split(',') {
-        match model.system.var_by_name(name.trim()) {
-            Some(v) => params.push(v),
-            None => {
-                eprintln!("unknown parameter `{name}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let only = flag_value(args, "--prop");
-    let selected: Vec<&(String, CompiledProperty)> = model
-        .properties
+/// Prints a synth sweep as one `--json` document.
+fn print_synth_json(path: &str, property: &str, result: &SynthesisResult, wall: Duration) {
+    let rows: Vec<String> = result
+        .verdicts
         .iter()
-        .filter(|(name, _)| only.as_deref().is_none_or(|p| p == name))
+        .map(|v| {
+            let vals: Vec<String> = v.values.iter().map(|x| quote(&x.to_string())).collect();
+            let reason = match &v.result {
+                CheckResult::Unknown(r) => quote(r.tag()),
+                _ => "null".to_string(),
+            };
+            format!(
+                "{{\"values\":[{}],\"verdict\":{},\"detail\":{},\"attempts\":{},\"reason\":{}}}",
+                vals.join(","),
+                quote(verdict_tag(&v.result)),
+                quote(&v.result.to_string()),
+                v.attempts,
+                reason
+            )
+        })
         .collect();
-    let [(name, property)] = selected.as_slice() else {
-        eprintln!(
-            "synth needs exactly one property (use --prop); model has: {}",
-            model
-                .properties
-                .iter()
-                .map(|(n, _)| n.as_str())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        return ExitCode::FAILURE;
-    };
-    let prop = match property {
-        CompiledProperty::Invariant(p) => verdict_mc::params::Property::Invariant(p.clone()),
-        CompiledProperty::Ltl(f) => verdict_mc::params::Property::Ltl(f.clone()),
-        CompiledProperty::Ctl(_) => {
-            eprintln!("synth supports invariant and ltl properties");
-            return ExitCode::FAILURE;
-        }
-    };
-    let opts = match options_from(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = install_faults(args) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let opts = opts.with_stop(sigint::install());
-    let json = args.iter().any(|a| a == "--json");
-    let verifier = Verifier::new(&model.system).options(opts.clone());
-    let first_safe = args.iter().any(|a| a == "--first-safe");
-
-    let (journal_path, resume) = match journal_flags(args) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let journal = match &journal_path {
-        Some(p) => {
-            let engine = verifier.synthesis_engine(&prop);
-            match verdict_mc::durable::start_sweep_journal(
-                Path::new(p),
-                resume,
-                &model.system,
-                &params,
-                &prop,
-                engine,
-                &opts,
-            ) {
-                Ok(pair) => Some(pair),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    let durability = match &journal {
-        Some((recorder, state)) => {
-            if resume && !state.is_empty() {
-                eprintln!(
-                    "resumed {} decided assignment(s) from {}",
-                    state.len(),
-                    journal_path.as_deref().unwrap_or("journal")
-                );
-            }
-            verdict_mc::Durability {
-                recorder: Some(recorder),
-                resume: Some(state),
-            }
-        }
-        None => verdict_mc::Durability::none(),
-    };
-
-    let started = std::time::Instant::now();
-    let synthesis = if first_safe {
-        verifier.synthesize_params_first_safe_durable(&params, &prop, &durability)
-    } else {
-        verifier.synthesize_params_durable(&params, &prop, &durability)
-    };
-    match synthesis {
-        Ok(result) => {
-            if json {
-                let rows: Vec<String> = result
-                    .verdicts
-                    .iter()
-                    .map(|v| {
-                        let vals: Vec<String> =
-                            v.values.iter().map(|x| json_str(&x.to_string())).collect();
-                        let reason = match &v.result {
-                            CheckResult::Unknown(r) => json_str(r.tag()),
-                            _ => "null".to_string(),
-                        };
-                        format!(
-                            "{{\"values\":[{}],\"verdict\":{},\"detail\":{},\"attempts\":{},\"reason\":{}}}",
-                            vals.join(","),
-                            json_str(verdict_tag(&v.result)),
-                            json_str(&v.result.to_string()),
-                            v.attempts,
-                            reason
-                        )
-                    })
-                    .collect();
-                let names: Vec<String> = result.param_names.iter().map(|n| json_str(n)).collect();
-                println!(
-                    "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"synth\",\"model\":{},\"property\":{},\"params\":[{}],\"verdicts\":[{}],\"wall_ms\":{}}}",
-                    json_str(path),
-                    json_str(name),
-                    names.join(","),
-                    rows.join(","),
-                    started.elapsed().as_millis()
-                );
-            } else {
-                println!("property `{name}`:");
-                print!("{result}");
-            }
-            // Unsafe assignments are an answer here, not a failure: the
-            // sweep's job is to map the safe region, so only
-            // interruption changes the exit code.
-            ExitCode::from(exit_code(&Outcome {
-                interrupted: sigint::interrupted(),
-                ..Outcome::default()
-            }))
-        }
-        Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let names: Vec<String> = result.param_names.iter().map(|n| quote(n)).collect();
+    println!(
+        "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"synth\",\"model\":{},\"property\":{},\"params\":[{}],\"verdicts\":[{}],\"wall_ms\":{}}}",
+        quote(path),
+        quote(property),
+        names.join(","),
+        rows.join(","),
+        wall.as_millis()
+    );
 }
 
 fn blast(args: &[String]) -> ExitCode {
@@ -886,7 +619,7 @@ fn blast(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let opts = match options_from(args) {
+    let opts = match verdict_mc::spec::options_from_args(args) {
         Ok(o) => o.max_depth_defaulted(16),
         Err(e) => {
             eprintln!("{e}");
@@ -932,6 +665,34 @@ fn fig2(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn outcome_of_rows() {
+        let row = |verdict: &str, reason: Option<&str>| VerdictRow {
+            name: "p".into(),
+            verdict: verdict.into(),
+            reason: reason.map(str::to_string),
+            engine: "bmc".into(),
+            detail: String::new(),
+        };
+        let rows = [
+            row("safe", None),
+            row("unsafe", None),
+            row("unknown", Some("engine-failure")),
+        ];
+        let check = Outcome::of(JobKind::Check, &rows, false);
+        assert!(check.violated && check.infra_unknown && !check.interrupted);
+        // Honest limits are not infrastructure failures.
+        let honest = [
+            row("unknown", Some("depth-bound")),
+            row("cancelled", Some("cancelled")),
+        ];
+        assert!(!Outcome::of(JobKind::Check, &honest, false).infra_unknown);
+        // A sweep's unsafe and unknown assignments are its answer.
+        let synth = Outcome::of(JobKind::Synth, &rows, false);
+        assert_eq!(exit_code(&synth), 0);
+        assert_eq!(exit_code(&Outcome::of(JobKind::Synth, &rows, true)), 130);
+    }
 
     #[test]
     fn exit_code_table() {

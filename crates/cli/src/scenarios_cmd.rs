@@ -16,42 +16,31 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use verdict_journal::json::quote;
 use verdict_mc::spec::{flag_value, ExecContext, JobSpec, VerdictRow};
-use verdict_mc::{EngineKind, STATS_SCHEMA_VERSION};
+use verdict_mc::{CheckOptions, EngineKind, STATS_SCHEMA_VERSION};
 use verdict_scenarios::{generate, incident_ids, GenConfig, Pattern, Scenario};
 
-use crate::{exit_code, json_str, sigint, Outcome};
+use crate::{exit_code, sigint, Outcome};
 
 /// One property of one instance, scored against its expectation.
 struct Scored {
     name: &'static str,
     kind: &'static str,
     expected: &'static str,
-    verdict: String,
-    engine: String,
-    detail: String,
-    reason: Option<String>,
+    row: VerdictRow,
 }
 
 impl Scored {
     /// The engine verdict equals the generator's ground truth.
     fn matched(&self) -> bool {
-        self.verdict == self.expected
+        self.row.verdict == self.expected
     }
 
     /// Unknown for an infrastructure reason (or the transport to the
     /// daemon failed) — exit code 1, not a model mismatch.
     fn infra(&self) -> bool {
-        matches!(
-            self.reason.as_deref(),
-            Some(
-                "engine-failure"
-                    | "resource-exhausted"
-                    | "certificate-rejected"
-                    | "hung-worker"
-                    | "client-error"
-            )
-        )
+        self.row.infra_failure() || self.row.reason.as_deref() == Some("client-error")
     }
 }
 
@@ -181,9 +170,10 @@ fn spec_for(s: &Scenario, cfg: &SweepConfig) -> JobSpec {
 /// flag; engines exit cooperatively and undone slots stay `None`.
 fn run_local(scenarios: &[Scenario], cfg: &SweepConfig) -> Vec<Option<Vec<VerdictRow>>> {
     let stop = sigint::install();
+    let mut base = CheckOptions::default().with_stop(stop.clone());
+    base.timeout = cfg.timeout;
     let ctx = ExecContext {
-        stop: Some(stop.clone()),
-        timeout: cfg.timeout,
+        base,
         jobs: 1,
         ..ExecContext::default()
     };
@@ -236,12 +226,8 @@ fn run_server(
                 let rows = s
                     .properties
                     .iter()
-                    .map(|p| VerdictRow {
-                        name: p.name.to_string(),
-                        verdict: "unknown".to_string(),
-                        reason: Some("client-error".to_string()),
-                        engine: spec.engine.clone(),
-                        detail: e.to_string(),
+                    .map(|p| {
+                        VerdictRow::unknown(p.name, "client-error", &spec.engine, e.to_string())
                     })
                     .collect();
                 results.push(Some(rows));
@@ -264,19 +250,19 @@ fn score(s: &Scenario, rows: Option<&Vec<VerdictRow>>) -> Vec<Scored> {
                     name: p.name,
                     kind: p.kind.tag(),
                     expected: p.expected.tag(),
-                    verdict: r.verdict.clone(),
-                    engine: r.engine.clone(),
-                    detail: r.detail.clone(),
-                    reason: r.reason.clone(),
+                    row: r.clone(),
                 },
                 None => Scored {
                     name: p.name,
                     kind: p.kind.tag(),
                     expected: p.expected.tag(),
-                    verdict: "cancelled".to_string(),
-                    engine: String::new(),
-                    detail: "not run (sweep interrupted)".to_string(),
-                    reason: Some("cancelled".to_string()),
+                    row: VerdictRow {
+                        name: p.name.to_string(),
+                        verdict: "cancelled".to_string(),
+                        reason: Some("cancelled".to_string()),
+                        engine: String::new(),
+                        detail: "not run (sweep interrupted)".to_string(),
+                    },
                 },
             }
         })
@@ -347,25 +333,25 @@ pub fn scenarios(args: &[String]) -> ExitCode {
                 any_mismatch = true;
             }
             if cfg.json {
-                let reason = match &p.reason {
-                    Some(r) => json_str(r),
+                let reason = match &p.row.reason {
+                    Some(r) => quote(r),
                     None => "null".to_string(),
                 };
                 lines.push(format!(
                     "{{\"name\":{},\"kind\":{},\"expected\":{},\"verdict\":{},\"match\":{},\"engine\":{},\"reason\":{},\"detail\":{}}}",
-                    json_str(p.name),
-                    json_str(p.kind),
-                    json_str(p.expected),
-                    json_str(&p.verdict),
+                    quote(p.name),
+                    quote(p.kind),
+                    quote(p.expected),
+                    quote(&p.row.verdict),
                     p.matched(),
-                    json_str(&p.engine),
+                    quote(&p.row.engine),
                     reason,
-                    json_str(&p.detail)
+                    quote(&p.row.detail)
                 ));
             } else if !p.matched() {
                 println!(
                     "  {} / {}: expected {}, got {} ({})",
-                    s.id, p.name, p.expected, p.verdict, p.detail
+                    s.id, p.name, p.expected, p.row.verdict, p.row.detail
                 );
             }
         }
@@ -373,12 +359,12 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             let params: Vec<String> = s
                 .params
                 .iter()
-                .map(|(k, v)| format!("{}:{v}", json_str(k)))
+                .map(|(k, v)| format!("{}:{v}", quote(k)))
                 .collect();
             scenario_docs.push(format!(
                 "{{\"id\":{},\"pattern\":{},\"params\":{{{}}},\"properties\":[{}]}}",
-                json_str(&s.id),
-                json_str(s.pattern.tag()),
+                quote(&s.id),
+                quote(s.pattern.tag()),
                 params.join(","),
                 lines.join(",")
             ));
@@ -398,10 +384,10 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             .iter()
             .map(|(p, r)| {
                 let incidents: Vec<String> =
-                    incident_ids(*p).into_iter().map(json_str).collect();
+                    incident_ids(*p).into_iter().map(quote).collect();
                 format!(
                     "{{\"pattern\":{},\"incidents\":[{}],\"instances\":{},\"properties\":{},\"matched\":{},\"mismatched\":{},\"infra\":{}}}",
-                    json_str(p.tag()),
+                    quote(p.tag()),
                     incidents.join(","),
                     r.instances,
                     r.properties,
@@ -413,7 +399,7 @@ pub fn scenarios(args: &[String]) -> ExitCode {
             .collect();
         println!(
             "{{\"schema\":{STATS_SCHEMA_VERSION},\"command\":\"scenarios\",\"mode\":{},\"seed\":{},\"samples\":{},\"certify\":{},\"scenarios\":[{}],\"patterns\":[{}],\"exit_code\":{code}}}",
-            json_str(mode),
+            quote(mode),
             cfg.gen_cfg.seed,
             cfg.gen_cfg.samples,
             cfg.certify,
@@ -457,7 +443,7 @@ fn list(matrix: &[Scenario], cfg: &SweepConfig) -> ExitCode {
                 let params: Vec<String> = s
                     .params
                     .iter()
-                    .map(|(k, v)| format!("{}:{v}", json_str(k)))
+                    .map(|(k, v)| format!("{}:{v}", quote(k)))
                     .collect();
                 let props: Vec<String> = s
                     .properties
@@ -465,17 +451,17 @@ fn list(matrix: &[Scenario], cfg: &SweepConfig) -> ExitCode {
                     .map(|p| {
                         format!(
                             "{{\"name\":{},\"kind\":{},\"expected\":{}}}",
-                            json_str(p.name),
-                            json_str(p.kind.tag()),
-                            json_str(p.expected.tag())
+                            quote(p.name),
+                            quote(p.kind.tag()),
+                            quote(p.expected.tag())
                         )
                     })
                     .collect();
                 format!(
                     "{{\"id\":{},\"pattern\":{},\"summary\":{},\"params\":{{{}}},\"properties\":[{}]}}",
-                    json_str(&s.id),
-                    json_str(s.pattern.tag()),
-                    json_str(&s.summary),
+                    quote(&s.id),
+                    quote(s.pattern.tag()),
+                    quote(&s.summary),
                     params.join(","),
                     props.join(",")
                 )

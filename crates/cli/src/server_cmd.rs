@@ -5,6 +5,7 @@ use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use verdict_journal::json::quote;
 use verdict_server::{Client, ClientError, JobKind, JobSpec, Server, ServerConfig};
 
 use crate::{exit_code, flag_value, sigint, Outcome};
@@ -255,32 +256,7 @@ pub fn submit(args: &[String]) -> ExitCode {
         }
     };
 
-    let mut out = Outcome {
-        interrupted: outcome.state == "cancelled",
-        ..Outcome::default()
-    };
-    for row in &outcome.verdicts {
-        match row.verdict.as_str() {
-            // For synth, unsafe *assignments* are a normal sweep
-            // outcome (the answer, not a failure) — same as `verdict
-            // synth` locally.
-            "unsafe" => out.violated = spec.kind == JobKind::Check,
-            "unknown" => {
-                if matches!(
-                    row.reason.as_deref(),
-                    Some(
-                        "engine-failure"
-                            | "resource-exhausted"
-                            | "certificate-rejected"
-                            | "hung-worker"
-                    )
-                ) {
-                    out.infra_unknown = true;
-                }
-            }
-            _ => {}
-        }
-    }
+    let out = Outcome::of(spec.kind, &outcome.verdicts, outcome.state == "cancelled");
     if json {
         let rows: Vec<String> = outcome
             .verdicts
@@ -289,7 +265,7 @@ pub fn submit(args: &[String]) -> ExitCode {
             .collect();
         println!(
             "{{\"schema\":2,\"command\":\"submit\",\"job\":{job},\"state\":{},\"recovered\":{},\"verdicts\":[{}],\"exit_code\":{}}}",
-            crate::json_str(&outcome.state),
+            quote(&outcome.state),
             outcome.recovered,
             rows.join(","),
             exit_code(&out)

@@ -4,12 +4,11 @@ use verdict_dsl::{parse, CompiledProperty};
 use verdict_mc::{CheckOptions, Verifier};
 
 fn check(model: &verdict_dsl::CompiledModel, name: &str) -> verdict_mc::CheckResult {
-    let verifier = Verifier::new(&model.system).options(CheckOptions::with_depth(24));
-    match model.property(name).expect("property exists") {
-        CompiledProperty::Invariant(p) => verifier.check_invariant(p).unwrap(),
-        CompiledProperty::Ltl(f) => verifier.check_ltl(f).unwrap(),
-        CompiledProperty::Ctl(f) => verifier.check_ctl(f).unwrap(),
-    }
+    Verifier::new(&model.system)
+        .options(CheckOptions::with_depth(24))
+        .check(model.property(name).expect("property exists"))
+        .unwrap()
+        .result
 }
 
 #[test]

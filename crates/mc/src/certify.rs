@@ -30,6 +30,7 @@
 
 use std::fmt;
 
+use verdict_dsl::CompiledProperty;
 use verdict_logic::Formula;
 use verdict_sat::{check_proof, Solver};
 use verdict_ts::{replay, Expr, Ltl, System, Trace, Unroller};
@@ -85,17 +86,6 @@ impl fmt::Display for CertificateStatus {
     }
 }
 
-/// The property shape a run checked (certificates differ per shape).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PropertyKind {
-    /// `G p` for a state predicate `p`.
-    Invariant,
-    /// An LTL property.
-    Ltl,
-    /// A CTL property (no certificate format).
-    Ctl,
-}
-
 /// The certificate status implied by a finished run: which engine
 /// produced the verdict, on which property shape, with certification on
 /// or off. In certify mode a surviving definitive verdict has already
@@ -103,24 +93,26 @@ pub enum PropertyKind {
 pub fn status(
     certify: bool,
     engine: EngineKind,
-    kind: PropertyKind,
+    property: &CompiledProperty,
     result: &CheckResult,
 ) -> CertificateStatus {
     if !certify {
         return CertificateStatus::NotRequested;
     }
+    let invariant = matches!(property, CompiledProperty::Invariant(_));
     match result {
         CheckResult::Unknown(UnknownReason::CertificateRejected) => CertificateStatus::Rejected,
         CheckResult::Unknown(_) => CertificateStatus::Unsupported,
-        CheckResult::Violated(_) => match kind {
-            PropertyKind::Ctl => CertificateStatus::Unsupported,
-            _ => CertificateStatus::Verified(CertificateKind::TraceReplay),
-        },
-        CheckResult::Holds => match (engine, kind) {
-            (EngineKind::KInduction, PropertyKind::Invariant) => {
+        // CTL has no counterexample format.
+        CheckResult::Violated(_) if matches!(property, CompiledProperty::Ctl(_)) => {
+            CertificateStatus::Unsupported
+        }
+        CheckResult::Violated(_) => CertificateStatus::Verified(CertificateKind::TraceReplay),
+        CheckResult::Holds => match engine {
+            EngineKind::KInduction if invariant => {
                 CertificateStatus::Verified(CertificateKind::Induction)
             }
-            (EngineKind::Bdd, PropertyKind::Invariant) => {
+            EngineKind::Bdd if invariant => {
                 CertificateStatus::Verified(CertificateKind::InductiveInvariant)
             }
             _ => CertificateStatus::Unsupported,
@@ -319,36 +311,24 @@ mod tests {
     fn status_classification() {
         use CertificateStatus as S;
         let holds = CheckResult::Holds;
+        let inv = CompiledProperty::Invariant(Expr::bool(true));
         assert_eq!(
-            status(
-                false,
-                EngineKind::KInduction,
-                PropertyKind::Invariant,
-                &holds
-            ),
+            status(false, EngineKind::KInduction, &inv, &holds),
             S::NotRequested
         );
         assert_eq!(
-            status(
-                true,
-                EngineKind::KInduction,
-                PropertyKind::Invariant,
-                &holds
-            ),
+            status(true, EngineKind::KInduction, &inv, &holds),
             S::Verified(CertificateKind::Induction)
         );
         assert_eq!(
-            status(true, EngineKind::Bdd, PropertyKind::Invariant, &holds),
+            status(true, EngineKind::Bdd, &inv, &holds),
             S::Verified(CertificateKind::InductiveInvariant)
         );
         assert_eq!(
-            status(true, EngineKind::Explicit, PropertyKind::Invariant, &holds),
+            status(true, EngineKind::Explicit, &inv, &holds),
             S::Unsupported
         );
         let rejected = CheckResult::Unknown(UnknownReason::CertificateRejected);
-        assert_eq!(
-            status(true, EngineKind::Bmc, PropertyKind::Invariant, &rejected),
-            S::Rejected
-        );
+        assert_eq!(status(true, EngineKind::Bmc, &inv, &rejected), S::Rejected);
     }
 }

@@ -27,6 +27,7 @@
 //! assert!(stats.sat.decisions > 0);
 //! ```
 
+use verdict_dsl::CompiledProperty;
 use verdict_journal::fault;
 use verdict_ts::{Ctl, Expr, Ltl, System};
 
@@ -87,6 +88,15 @@ impl EngineKind {
             _ => None,
         }
     }
+
+    /// The engine a check on `sys` actually runs: `Auto` resolved against
+    /// the system's sorts ([`resolve_auto`]), any other kind as itself.
+    pub fn resolve(self, sys: &System) -> EngineKind {
+        match self {
+            EngineKind::Auto => resolve_auto(sys),
+            kind => kind,
+        }
+    }
 }
 
 impl std::fmt::Display for EngineKind {
@@ -110,6 +120,17 @@ pub trait Engine: Sync {
     /// Which engine this is.
     fn kind(&self) -> EngineKind;
 
+    /// Checks a property as the DSL compiles it: an invariant `G p`, an
+    /// LTL formula, or a CTL formula (complete engines only; bounded
+    /// engines return an error).
+    fn check(
+        &self,
+        sys: &System,
+        property: &CompiledProperty,
+        opts: &CheckOptions,
+        stats: &mut Stats,
+    ) -> Result<CheckResult, McError>;
+
     /// Checks the safety property `G p`.
     fn check_invariant(
         &self,
@@ -117,7 +138,9 @@ pub trait Engine: Sync {
         p: &Expr,
         opts: &CheckOptions,
         stats: &mut Stats,
-    ) -> Result<CheckResult, McError>;
+    ) -> Result<CheckResult, McError> {
+        self.check(sys, &CompiledProperty::Invariant(p.clone()), opts, stats)
+    }
 
     /// Checks an LTL property.
     fn check_ltl(
@@ -126,17 +149,20 @@ pub trait Engine: Sync {
         phi: &Ltl,
         opts: &CheckOptions,
         stats: &mut Stats,
-    ) -> Result<CheckResult, McError>;
+    ) -> Result<CheckResult, McError> {
+        self.check(sys, &CompiledProperty::Ltl(phi.clone()), opts, stats)
+    }
 
-    /// Checks a CTL property (complete engines only; bounded engines
-    /// return an error).
+    /// Checks a CTL property (complete engines only).
     fn check_ctl(
         &self,
         sys: &System,
         phi: &Ctl,
         opts: &CheckOptions,
         stats: &mut Stats,
-    ) -> Result<CheckResult, McError>;
+    ) -> Result<CheckResult, McError> {
+        self.check(sys, &CompiledProperty::Ctl(phi.clone()), opts, stats)
+    }
 }
 
 /// Labels `stats` with the engine, runs `f`, and charges any
@@ -151,6 +177,13 @@ fn instrumented<R>(kind: EngineKind, stats: &mut Stats, f: impl FnOnce(&mut Stat
     r
 }
 
+/// What the bounded engines answer to a CTL property.
+fn ctl_needs_complete_engine() -> Result<CheckResult, McError> {
+    Err(McError(
+        "CTL requires a complete engine (BDD or explicit)".to_string(),
+    ))
+}
+
 struct BmcEngine;
 
 impl Engine for BmcEngine {
@@ -158,40 +191,22 @@ impl Engine for BmcEngine {
         EngineKind::Bmc
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bmc, stats, |s| {
-            crate::bmc::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bmc, stats, |s| {
-            crate::bmc::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        _sys: &System,
-        _phi: &Ctl,
-        _opts: &CheckOptions,
-        _stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        Err(McError(
-            "CTL requires a complete engine (BDD or explicit)".to_string(),
-        ))
+        match property {
+            CompiledProperty::Invariant(p) => instrumented(EngineKind::Bmc, stats, |s| {
+                crate::bmc::run_invariant(sys, p, opts, s)
+            }),
+            CompiledProperty::Ltl(phi) => instrumented(EngineKind::Bmc, stats, |s| {
+                crate::bmc::run_ltl(sys, phi, opts, s)
+            }),
+            CompiledProperty::Ctl(_) => ctl_needs_complete_engine(),
+        }
     }
 }
 
@@ -202,42 +217,22 @@ impl Engine for KInductionEngine {
         EngineKind::KInduction
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::KInduction, stats, |s| {
-            crate::kind::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        // k-induction does not handle liveness; fall back to the complete
-        // finite engine (matches the historical Verifier behavior).
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ctl(sys, phi, opts, s)
-        })
+        match property {
+            CompiledProperty::Invariant(p) => instrumented(EngineKind::KInduction, stats, |s| {
+                crate::kind::run_invariant(sys, p, opts, s)
+            }),
+            // k-induction handles neither liveness nor branching time;
+            // fall back to the complete finite engine (matches the
+            // historical Verifier behavior).
+            _ => BddEngine.check(sys, property, opts, stats),
+        }
     }
 }
 
@@ -248,39 +243,17 @@ impl Engine for BddEngine {
         EngineKind::Bdd
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Bdd, stats, |s| {
-            crate::bdd::run_ctl(sys, phi, opts, s)
+        instrumented(EngineKind::Bdd, stats, |s| match property {
+            CompiledProperty::Invariant(p) => crate::bdd::run_invariant(sys, p, opts, s),
+            CompiledProperty::Ltl(phi) => crate::bdd::run_ltl(sys, phi, opts, s),
+            CompiledProperty::Ctl(phi) => crate::bdd::run_ctl(sys, phi, opts, s),
         })
     }
 }
@@ -292,39 +265,19 @@ impl Engine for ExplicitEngine {
         EngineKind::Explicit
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Explicit, stats, |s| {
-            crate::explicit_engine::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Explicit, stats, |s| {
-            crate::explicit_engine::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Explicit, stats, |s| {
-            crate::explicit_engine::run_ctl(sys, phi, opts, s)
+        instrumented(EngineKind::Explicit, stats, |s| match property {
+            CompiledProperty::Invariant(p) => {
+                crate::explicit_engine::run_invariant(sys, p, opts, s)
+            }
+            CompiledProperty::Ltl(phi) => crate::explicit_engine::run_ltl(sys, phi, opts, s),
+            CompiledProperty::Ctl(phi) => crate::explicit_engine::run_ctl(sys, phi, opts, s),
         })
     }
 }
@@ -336,40 +289,22 @@ impl Engine for SmtBmcEngine {
         EngineKind::SmtBmc
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::SmtBmc, stats, |s| {
-            crate::smtbmc::run_invariant(sys, p, opts, s)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::SmtBmc, stats, |s| {
-            crate::smtbmc::run_ltl(sys, phi, opts, s)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        _sys: &System,
-        _phi: &Ctl,
-        _opts: &CheckOptions,
-        _stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        Err(McError(
-            "CTL requires a complete engine (BDD or explicit)".to_string(),
-        ))
+        match property {
+            CompiledProperty::Invariant(p) => instrumented(EngineKind::SmtBmc, stats, |s| {
+                crate::smtbmc::run_invariant(sys, p, opts, s)
+            }),
+            CompiledProperty::Ltl(phi) => instrumented(EngineKind::SmtBmc, stats, |s| {
+                crate::smtbmc::run_ltl(sys, phi, opts, s)
+            }),
+            CompiledProperty::Ctl(_) => ctl_needs_complete_engine(),
+        }
     }
 }
 
@@ -380,39 +315,15 @@ impl Engine for PortfolioEngine {
         EngineKind::Portfolio
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
         instrumented(EngineKind::Portfolio, stats, |s| {
-            crate::portfolio::run_invariant(sys, p, opts, s).map(|r| r.result)
-        })
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Portfolio, stats, |s| {
-            crate::portfolio::run_ltl(sys, phi, opts, s).map(|r| r.result)
-        })
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        instrumented(EngineKind::Portfolio, stats, |s| {
-            crate::portfolio::run_ctl(sys, phi, opts, s).map(|r| r.result)
+            crate::portfolio::run(sys, property, opts, s).map(|r| r.result)
         })
     }
 }
@@ -434,34 +345,14 @@ impl Engine for AutoEngine {
         EngineKind::Auto
     }
 
-    fn check_invariant(
+    fn check(
         &self,
         sys: &System,
-        p: &Expr,
+        property: &CompiledProperty,
         opts: &CheckOptions,
         stats: &mut Stats,
     ) -> Result<CheckResult, McError> {
-        engine(resolve_auto(sys)).check_invariant(sys, p, opts, stats)
-    }
-
-    fn check_ltl(
-        &self,
-        sys: &System,
-        phi: &Ltl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        engine(resolve_auto(sys)).check_ltl(sys, phi, opts, stats)
-    }
-
-    fn check_ctl(
-        &self,
-        sys: &System,
-        phi: &Ctl,
-        opts: &CheckOptions,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        engine(resolve_auto(sys)).check_ctl(sys, phi, opts, stats)
+        engine(resolve_auto(sys)).check(sys, property, opts, stats)
     }
 }
 

@@ -96,7 +96,7 @@ pub mod stats;
 pub mod tableau;
 pub mod verifier;
 
-pub use certify::{CertificateKind, CertificateStatus, PropertyKind};
+pub use certify::{CertificateKind, CertificateStatus};
 pub use durable::{Durability, ResumeState, SweepRecorder};
 pub use engine::{engine, Engine, EngineKind};
 pub use portfolio::CheckReport;
@@ -111,13 +111,15 @@ pub use verifier::Verifier;
 /// One-stop imports for the unified engine API.
 ///
 /// Brings in the [`Engine`] trait, the [`engine()`](engine::engine)
-/// registry function, [`EngineKind`], and the types every check touches:
-/// [`CheckOptions`], [`CheckResult`], [`CheckReport`], [`Stats`], and
-/// [`UnknownReason`].
+/// registry function, [`EngineKind`], the [`Verifier`] façade with the
+/// DSL's [`CompiledProperty`](verdict_dsl::CompiledProperty) it checks,
+/// and the types every check touches: [`CheckOptions`], [`CheckResult`],
+/// [`CheckReport`], [`Stats`], and [`UnknownReason`].
 pub mod prelude {
     pub use crate::engine::{engine, Engine, EngineKind};
     pub use crate::portfolio::CheckReport;
     pub use crate::result::{CheckOptions, CheckResult, UnknownReason};
     pub use crate::stats::Stats;
     pub use crate::verifier::Verifier;
+    pub use verdict_dsl::CompiledProperty;
 }

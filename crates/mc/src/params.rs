@@ -13,7 +13,7 @@
 //! over a worker pool ([`CheckOptions::jobs`], default
 //! `available_parallelism()`); the verdict vector keeps odometer order
 //! regardless of which worker finished first, so parallel output is
-//! identical to a `jobs = 1` run. [`synthesize_first_safe`] additionally
+//! identical to a `jobs = 1` run. A `first_safe` [`synthesize`] additionally
 //! stops the sweep as soon as one SAFE assignment is found, cancelling
 //! outstanding workers cooperatively (their slots report
 //! [`UnknownReason::Cancelled`]).
@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use verdict_dsl::CompiledProperty;
 use verdict_ring::{ring, Consumer, Doorbell, Published, PublishedReader};
 use verdict_sat::ClauseHub;
 use verdict_ts::{Expr, Ltl, System, Trace, Value, VarId};
@@ -41,6 +42,7 @@ use verdict_ts::{Expr, Ltl, System, Trace, Value, VarId};
 use verdict_journal::fault;
 
 use crate::durable::Durability;
+use crate::engine::EngineKind;
 use crate::incremental::{HoldsPattern, PinnedKInduction, PinnedOutcome};
 use crate::result::{Budget, CheckOptions, CheckResult, McError, UnknownReason};
 use crate::stats::RuntimeCounters;
@@ -52,6 +54,18 @@ pub enum Property {
     Invariant(Expr),
     /// An arbitrary LTL property.
     Ltl(Ltl),
+}
+
+impl Property {
+    /// The synthesis form of a DSL property; `None` for CTL, which
+    /// synthesis does not support.
+    pub fn from_compiled(property: &CompiledProperty) -> Option<Property> {
+        match property {
+            CompiledProperty::Invariant(p) => Some(Property::Invariant(p.clone())),
+            CompiledProperty::Ltl(f) => Some(Property::Ltl(f.clone())),
+            CompiledProperty::Ctl(_) => None,
+        }
+    }
 }
 
 /// Verdict for one parameter assignment.
@@ -102,7 +116,7 @@ impl SynthesisResult {
 
     /// True iff any assignment failed to get a verdict for a reason other
     /// than cooperative cancellation. Cancelled slots are the *expected*
-    /// outcome of a successful [`synthesize_first_safe`] sweep (the tail
+    /// outcome of a successful `first_safe` [`synthesize`] sweep (the tail
     /// is skipped on purpose), not a verification failure — see
     /// [`SynthesisResult::has_cancelled`] for those.
     pub fn has_unknown(&self) -> bool {
@@ -162,13 +176,12 @@ impl SynthesisEngine {
         }
     }
 
-    /// The [`EngineKind`](crate::engine::EngineKind) this synthesis engine
-    /// dispatches to.
-    pub fn kind(self) -> crate::engine::EngineKind {
+    /// The [`EngineKind`] this synthesis engine dispatches to.
+    pub fn kind(self) -> EngineKind {
         match self {
-            SynthesisEngine::KInduction => crate::engine::EngineKind::KInduction,
-            SynthesisEngine::Bdd => crate::engine::EngineKind::Bdd,
-            SynthesisEngine::Explicit => crate::engine::EngineKind::Explicit,
+            SynthesisEngine::KInduction => EngineKind::KInduction,
+            SynthesisEngine::Bdd => EngineKind::Bdd,
+            SynthesisEngine::Explicit => EngineKind::Explicit,
         }
     }
 }
@@ -264,13 +277,7 @@ fn check_assignment(
 }
 
 fn report_panic(assignment: &[Value], payload: &(dyn std::any::Any + Send)) {
-    let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-        s
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    };
+    let msg = crate::portfolio::panic_message(payload);
     let vals: Vec<String> = assignment.iter().map(Value::to_string).collect();
     eprintln!(
         "verdict-mc: synthesis worker panicked on ({}): {msg}",
@@ -856,31 +863,30 @@ pub(crate) fn validate_and_enumerate(
 /// The remaining frozen variables stay symbolic (universally quantified by
 /// the underlying engine). Verdict order is the sequential odometer order
 /// whatever the worker count.
+///
+/// With `first_safe` the sweep stops at the first SAFE assignment: the
+/// winning worker raises a shared stop flag, outstanding workers exit
+/// cooperatively, and every assignment not fully checked reports
+/// `Unknown(Cancelled)` — the paper's "suggest safe parameters" query,
+/// near-constant-time on sweeps where most values are safe.
+///
+/// `durability` journals completed verdicts as workers finish and skips
+/// assignments a resumed run already decided (their recorded verdict and
+/// attempt count reported as-is; a resumed SAFE verdict ends a
+/// `first_safe` sweep just like a freshly proved one). Pass
+/// [`Durability::none`] for a plain sweep.
 pub fn synthesize(
     sys: &System,
     params: &[VarId],
     property: &Property,
     engine: SynthesisEngine,
     opts: &CheckOptions,
-) -> Result<SynthesisResult, McError> {
-    synthesize_durable(sys, params, property, engine, opts, &Durability::none())
-}
-
-/// [`synthesize`] with durability hooks: completed verdicts are appended
-/// to `durability.recorder`'s journal as workers finish, and assignments
-/// already decided in `durability.resume` are skipped (their recorded
-/// verdict and attempt count reported as-is).
-pub fn synthesize_durable(
-    sys: &System,
-    params: &[VarId],
-    property: &Property,
-    engine: SynthesisEngine,
-    opts: &CheckOptions,
+    first_safe: bool,
     durability: &Durability<'_>,
 ) -> Result<SynthesisResult, McError> {
     let (param_names, space) = validate_and_enumerate(sys, params)?;
     let (verdicts, runtime) = run_assignments(
-        sys, params, &space, property, engine, opts, false, durability,
+        sys, params, &space, property, engine, opts, first_safe, durability,
     )?;
     Ok(SynthesisResult {
         param_names,
@@ -889,45 +895,18 @@ pub fn synthesize_durable(
     })
 }
 
-/// Like [`synthesize`], but stops the sweep at the first SAFE assignment:
-/// the winning worker raises a shared stop flag, outstanding workers exit
-/// cooperatively, and every assignment not fully checked reports
-/// `Unknown(Cancelled)`.
-///
-/// Use this when any one safe configuration is enough (the paper's
-/// "suggest safe parameters" workflow) — on sweeps where most values are
-/// safe it turns a full cross-product scan into a near-constant-time
-/// query.
-pub fn synthesize_first_safe(
-    sys: &System,
-    params: &[VarId],
-    property: &Property,
-    engine: SynthesisEngine,
-    opts: &CheckOptions,
-) -> Result<SynthesisResult, McError> {
-    synthesize_first_safe_durable(sys, params, property, engine, opts, &Durability::none())
-}
-
-/// [`synthesize_first_safe`] with durability hooks (see
-/// [`synthesize_durable`]). A resumed SAFE verdict stops the sweep just
-/// like a freshly proved one.
-pub fn synthesize_first_safe_durable(
-    sys: &System,
-    params: &[VarId],
-    property: &Property,
-    engine: SynthesisEngine,
-    opts: &CheckOptions,
-    durability: &Durability<'_>,
-) -> Result<SynthesisResult, McError> {
-    let (param_names, space) = validate_and_enumerate(sys, params)?;
-    let (verdicts, runtime) = run_assignments(
-        sys, params, &space, property, engine, opts, true, durability,
-    )?;
-    Ok(SynthesisResult {
-        param_names,
-        verdicts,
-        runtime,
-    })
+/// The complete engine a sweep uses under the requested `engine`:
+/// BDD and explicit as asked, otherwise k-induction for invariants and
+/// BDD for LTL.
+pub fn synthesis_engine(engine: EngineKind, sys: &System, property: &Property) -> SynthesisEngine {
+    match engine.resolve(sys) {
+        EngineKind::Bdd => SynthesisEngine::Bdd,
+        EngineKind::Explicit => SynthesisEngine::Explicit,
+        _ => match property {
+            Property::Invariant(_) => SynthesisEngine::KInduction,
+            Property::Ltl(_) => SynthesisEngine::Bdd,
+        },
+    }
 }
 
 /// Convenience for the falsification direction the paper also uses: leave
@@ -944,12 +923,6 @@ pub fn find_violating_params(
         Property::Invariant(p) => eng.check_invariant(sys, p, opts, &mut stats),
         Property::Ltl(phi) => eng.check_ltl(sys, phi, opts, &mut stats),
     }
-}
-
-/// Guard for empty parameter lists in [`synthesize`] callers: with no
-/// parameters the function still runs exactly one verification.
-pub fn no_params_is_single_check(result: &SynthesisResult) -> bool {
-    result.param_names.is_empty() && result.verdicts.len() == 1
 }
 
 #[cfg(test)]
@@ -983,6 +956,8 @@ mod tests {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default(),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         assert_eq!(r.verdicts.len(), 3);
@@ -1001,9 +976,36 @@ mod tests {
         let (sys, p) = step_counter();
         let prop = Property::Invariant(Expr::var(sys.var_by_name("n").unwrap()).ne(Expr::int(6)));
         let opts = CheckOptions::default();
-        let a = synthesize(&sys, &[p], &prop, SynthesisEngine::KInduction, &opts).unwrap();
-        let b = synthesize(&sys, &[p], &prop, SynthesisEngine::Bdd, &opts).unwrap();
-        let c = synthesize(&sys, &[p], &prop, SynthesisEngine::Explicit, &opts).unwrap();
+        let a = synthesize(
+            &sys,
+            &[p],
+            &prop,
+            SynthesisEngine::KInduction,
+            &opts,
+            false,
+            &Durability::none(),
+        )
+        .unwrap();
+        let b = synthesize(
+            &sys,
+            &[p],
+            &prop,
+            SynthesisEngine::Bdd,
+            &opts,
+            false,
+            &Durability::none(),
+        )
+        .unwrap();
+        let c = synthesize(
+            &sys,
+            &[p],
+            &prop,
+            SynthesisEngine::Explicit,
+            &opts,
+            false,
+            &Durability::none(),
+        )
+        .unwrap();
         for ((x, y), z) in a.verdicts.iter().zip(&b.verdicts).zip(&c.verdicts) {
             assert_eq!(x.result.holds(), y.result.holds(), "kind vs bdd");
             assert_eq!(y.result.holds(), z.result.holds(), "bdd vs explicit");
@@ -1030,6 +1032,8 @@ mod tests {
             &prop,
             SynthesisEngine::Bdd,
             &CheckOptions::default(),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         let safe = r.safe();
@@ -1094,6 +1098,8 @@ mod tests {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(1),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         for jobs in 2..=4 {
@@ -1103,6 +1109,8 @@ mod tests {
                 &prop,
                 SynthesisEngine::KInduction,
                 &CheckOptions::default().with_jobs(jobs),
+                false,
+                &Durability::none(),
             )
             .unwrap();
             assert_eq!(r.verdicts.len(), baseline.verdicts.len());
@@ -1130,6 +1138,8 @@ mod tests {
                     &prop,
                     SynthesisEngine::KInduction,
                     &base.clone().with_incremental(false),
+                    false,
+                    &Durability::none(),
                 )
                 .unwrap();
                 let inc = synthesize(
@@ -1138,6 +1148,8 @@ mod tests {
                     &prop,
                     SynthesisEngine::KInduction,
                     &base.with_incremental(true),
+                    false,
+                    &Durability::none(),
                 )
                 .unwrap();
                 assert_eq!(cloned.verdicts.len(), inc.verdicts.len());
@@ -1181,6 +1193,8 @@ mod tests {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(1).with_incremental(false),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         let inc = synthesize(
@@ -1189,6 +1203,8 @@ mod tests {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(1).with_incremental(true),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         assert_eq!(cloned.verdicts.len(), 12);
@@ -1211,6 +1227,8 @@ mod tests {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(1).with_certify(),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         for v in &certified.verdicts {
@@ -1231,12 +1249,14 @@ mod tests {
         // p=1 is unsafe, p=2 safe, p=3 safe: with jobs=1 the sweep must
         // check p=1 (UNSAFE), find p=2 SAFE, and skip p=3 as Cancelled.
         let prop = Property::Invariant(Expr::var(sys.var_by_name("n").unwrap()).ne(Expr::int(5)));
-        let r = synthesize_first_safe(
+        let r = synthesize(
             &sys,
             &[p],
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(1),
+            true,
+            &Durability::none(),
         )
         .unwrap();
         assert_eq!(r.verdicts.len(), 3);
@@ -1256,12 +1276,14 @@ mod tests {
         // making every early exit look like a verification failure.
         let (sys, p) = step_counter();
         let prop = Property::Invariant(Expr::var(sys.var_by_name("n").unwrap()).ne(Expr::int(5)));
-        let r = synthesize_first_safe(
+        let r = synthesize(
             &sys,
             &[p],
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(1),
+            true,
+            &Durability::none(),
         )
         .unwrap();
         assert!(matches!(
@@ -1279,12 +1301,14 @@ mod tests {
     fn first_safe_parallel_finds_a_safe_value() {
         let (sys, p) = step_counter();
         let prop = Property::Invariant(Expr::var(sys.var_by_name("n").unwrap()).ne(Expr::int(5)));
-        let r = synthesize_first_safe(
+        let r = synthesize(
             &sys,
             &[p],
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default().with_jobs(3),
+            true,
+            &Durability::none(),
         )
         .unwrap();
         // Racing workers may complete more than one assignment before the
@@ -1320,6 +1344,8 @@ mod tests {
             &prop,
             SynthesisEngine::Bdd,
             &CheckOptions::default(),
+            false,
+            &Durability::none(),
         );
         assert!(e.is_err());
     }
@@ -1334,6 +1360,8 @@ mod tests {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::default(),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         let shown = r.to_string();

@@ -28,9 +28,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use verdict_dsl::CompiledProperty;
 use verdict_ring::{ring, Consumer, Doorbell};
 use verdict_sat::ClauseHub;
-use verdict_ts::{Ctl, Expr, Ltl, System};
+use verdict_ts::System;
 
 use crate::engine::EngineKind;
 use crate::result::{CheckOptions, CheckResult, McError, UnknownReason};
@@ -57,7 +58,7 @@ pub struct CheckReport {
 }
 
 /// Best-effort extraction of a panic payload's message for diagnostics.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
         s
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -320,116 +321,78 @@ fn fold_stats(stats: &mut Stats, report: &CheckReport) {
     }
 }
 
-/// Trait-dispatch entry point for the invariant portfolio — BMC
-/// (falsifier) vs k-induction and BDD (provers) on finite systems, solo
-/// SMT-BMC on real-valued ones (see [`crate::engine::engine`]); the
-/// winner's counters are folded into `stats` and the full per-contender
-/// breakdown rides on the report.
-pub(crate) fn run_invariant(
+/// Boxes one contender of a standard line-up.
+fn contender<'a>(
+    kind: EngineKind,
+    run: impl FnOnce(&CheckOptions, &mut Stats) -> Result<CheckResult, McError> + Send + 'a,
+) -> (EngineKind, Contender<'a>) {
+    (kind, Box::new(run))
+}
+
+/// Trait-dispatch entry point for the portfolio (see
+/// [`crate::engine::engine`]). On finite systems it races the line-up
+/// for the property's shape — BMC (falsifier) vs k-induction and BDD
+/// for invariants, BMC fair-lasso search vs the BDD tableau engine for
+/// LTL, BDD fixpoints vs the explicit-state engine for CTL (whichever
+/// shape of state space is kinder wins). Real-valued systems run
+/// SMT-BMC solo, and have no CTL engine at all. The winner's counters
+/// are folded into `stats` and the full per-contender breakdown rides
+/// on the report.
+pub(crate) fn run(
     sys: &System,
-    p: &Expr,
+    property: &CompiledProperty,
     opts: &CheckOptions,
     stats: &mut Stats,
 ) -> Result<CheckReport, McError> {
-    let report = if sys.has_real_vars() {
-        solo(EngineKind::SmtBmc, opts, |o, st| {
+    let report = match (property, sys.has_real_vars()) {
+        (CompiledProperty::Ctl(_), true) => {
+            return Err(McError(
+                "CTL checking requires a finite-state system".to_string(),
+            ))
+        }
+        (CompiledProperty::Invariant(p), true) => solo(EngineKind::SmtBmc, opts, |o, st| {
             crate::smtbmc::run_invariant(sys, p, o, st)
-        })
-    } else {
-        race(
-            opts,
-            vec![
-                (
-                    EngineKind::Bmc,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bmc::run_invariant(sys, p, o, st)
-                    }) as Contender<'_>,
-                ),
-                (
-                    EngineKind::KInduction,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::kind::run_invariant(sys, p, o, st)
-                    }),
-                ),
-                (
-                    EngineKind::Bdd,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bdd::run_invariant(sys, p, o, st)
-                    }),
-                ),
-            ],
-        )
-    }?;
-    fold_stats(stats, &report);
-    Ok(report)
-}
-
-/// Trait-dispatch entry point for the LTL portfolio — BMC fair-lasso
-/// search (falsifier) vs the complete BDD tableau engine, solo SMT-BMC on
-/// real-valued systems (see [`crate::engine::engine`]).
-pub(crate) fn run_ltl(
-    sys: &System,
-    phi: &Ltl,
-    opts: &CheckOptions,
-    stats: &mut Stats,
-) -> Result<CheckReport, McError> {
-    let report = if sys.has_real_vars() {
-        solo(EngineKind::SmtBmc, opts, |o, st| {
+        }),
+        (CompiledProperty::Ltl(phi), true) => solo(EngineKind::SmtBmc, opts, |o, st| {
             crate::smtbmc::run_ltl(sys, phi, o, st)
-        })
-    } else {
-        race(
+        }),
+        (CompiledProperty::Invariant(p), false) => race(
             opts,
             vec![
-                (
-                    EngineKind::Bmc,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bmc::run_ltl(sys, phi, o, st)
-                    }) as Contender<'_>,
-                ),
-                (
-                    EngineKind::Bdd,
-                    Box::new(|o: &CheckOptions, st: &mut Stats| {
-                        crate::bdd::run_ltl(sys, phi, o, st)
-                    }),
-                ),
+                contender(EngineKind::Bmc, |o, st| {
+                    crate::bmc::run_invariant(sys, p, o, st)
+                }),
+                contender(EngineKind::KInduction, |o, st| {
+                    crate::kind::run_invariant(sys, p, o, st)
+                }),
+                contender(EngineKind::Bdd, |o, st| {
+                    crate::bdd::run_invariant(sys, p, o, st)
+                }),
             ],
-        )
-    }?;
-    fold_stats(stats, &report);
-    Ok(report)
-}
-
-/// Trait-dispatch entry point for the CTL portfolio — BDD fixpoints vs
-/// the explicit-state engine, both complete; whichever shape of state
-/// space is kinder wins (see [`crate::engine::engine`]).
-pub(crate) fn run_ctl(
-    sys: &System,
-    phi: &Ctl,
-    opts: &CheckOptions,
-    stats: &mut Stats,
-) -> Result<CheckReport, McError> {
-    if sys.has_real_vars() {
-        return Err(McError(
-            "CTL checking requires a finite-state system".to_string(),
-        ));
-    }
-    let report = race(
-        opts,
-        vec![
-            (
-                EngineKind::Bdd,
-                Box::new(|o: &CheckOptions, st: &mut Stats| crate::bdd::run_ctl(sys, phi, o, st))
-                    as Contender<'_>,
-            ),
-            (
-                EngineKind::Explicit,
-                Box::new(|o: &CheckOptions, st: &mut Stats| {
+        ),
+        (CompiledProperty::Ltl(phi), false) => race(
+            opts,
+            vec![
+                contender(EngineKind::Bmc, |o, st| {
+                    crate::bmc::run_ltl(sys, phi, o, st)
+                }),
+                contender(EngineKind::Bdd, |o, st| {
+                    crate::bdd::run_ltl(sys, phi, o, st)
+                }),
+            ],
+        ),
+        (CompiledProperty::Ctl(phi), false) => race(
+            opts,
+            vec![
+                contender(EngineKind::Bdd, |o, st| {
+                    crate::bdd::run_ctl(sys, phi, o, st)
+                }),
+                contender(EngineKind::Explicit, |o, st| {
                     crate::explicit_engine::run_ctl(sys, phi, o, st)
                 }),
-            ),
-        ],
-    )?;
+            ],
+        ),
+    }?;
     fold_stats(stats, &report);
     Ok(report)
 }
@@ -437,21 +400,37 @@ pub(crate) fn run_ctl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use verdict_ts::{Ctl, Expr, Ltl};
 
     fn check_invariant_t(
         sys: &System,
         p: &Expr,
         opts: &CheckOptions,
     ) -> Result<CheckReport, McError> {
-        run_invariant(sys, p, opts, &mut Stats::default())
+        run(
+            sys,
+            &CompiledProperty::Invariant(p.clone()),
+            opts,
+            &mut Stats::default(),
+        )
     }
 
     fn check_ltl_t(sys: &System, phi: &Ltl, opts: &CheckOptions) -> Result<CheckReport, McError> {
-        run_ltl(sys, phi, opts, &mut Stats::default())
+        run(
+            sys,
+            &CompiledProperty::Ltl(phi.clone()),
+            opts,
+            &mut Stats::default(),
+        )
     }
 
     fn check_ctl_t(sys: &System, phi: &Ctl, opts: &CheckOptions) -> Result<CheckReport, McError> {
-        run_ctl(sys, phi, opts, &mut Stats::default())
+        run(
+            sys,
+            &CompiledProperty::Ctl(phi.clone()),
+            opts,
+            &mut Stats::default(),
+        )
     }
 
     fn counter(limit: i64) -> (System, verdict_ts::VarId) {

@@ -134,6 +134,20 @@ impl UnknownReason {
                 | UnknownReason::HungWorker
         )
     }
+
+    /// Whether this reason means the infrastructure failed, not the
+    /// model: engine death, a resource ceiling, a rejected certificate
+    /// or a hung worker. These make `verdict check` and `submit` exit 1;
+    /// honest limits (depth, effort, timeout, cancellation) do not.
+    pub fn infrastructure(self) -> bool {
+        matches!(
+            self,
+            UnknownReason::EngineFailure
+                | UnknownReason::ResourceExhausted
+                | UnknownReason::CertificateRejected
+                | UnknownReason::HungWorker
+        )
+    }
 }
 
 impl fmt::Display for UnknownReason {

@@ -1,11 +1,9 @@
 //! The unified job specification: one [`JobSpec`] shared by every
 //! entry point.
 //!
-//! Historically the CLI's `check` and `synth`, the server's `submit`
-//! path, and the bench harness each hand-rolled their own flag parsing
-//! and options structs before reaching [`CheckOptions`], so the local
-//! and remote execution paths could drift apart silently. This module
-//! is the single parse / validate / build / execute path:
+//! A model and a property go in; a verdict, a counterexample or a set of
+//! safe parameters comes out. This module is the one parse / validate /
+//! build / execute path for that workflow, whichever surface asks:
 //!
 //! * [`JobSpec`] — model source + property selection + engine + budgets,
 //!   with the wire JSON shape the server journals and ships
@@ -15,25 +13,37 @@
 //!   parse, the engine tag must resolve, named properties and
 //!   parameters must exist. The CLI calls it before running; the server
 //!   calls it before journaling.
-//! * [`execute`] — runs a validated spec through the engine registry to
-//!   [`VerdictRow`]s. The server's workers, the scenario sweep, and
-//!   tests all execute jobs through this one function, which is what
-//!   makes "local and remote verdicts agree" structural rather than
+//! * [`run`] — runs a validated spec through the engine registry to a
+//!   [`JobReport`]: per property its [`CheckReport`] and certificate
+//!   (with retries under [`CheckOptions::retry`] and an optional
+//!   journal), or the synthesis sweep. `verdict check` and
+//!   `verdict synth` print this report.
+//! * [`execute`] — [`run`] boiled down to [`VerdictRow`]s. The server's
+//!   workers, the scenario sweep, and tests execute jobs through it, so
+//!   the CLI, the daemon and the sweep all run one code path — which is
+//!   what makes "local and remote verdicts agree" structural rather than
 //!   aspirational.
 //! * [`options_from_args`] — the shared `--depth/--timeout/--jobs/…` →
-//!   [`CheckOptions`] flag parser.
+//!   [`CheckOptions`] flag parser; its result is the CLI's
+//!   [`ExecContext::base`].
 
-use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use verdict_dsl::CompiledProperty;
 use verdict_journal::json::Json;
+use verdict_ts::{System, VarId};
 
+use crate::certify::{self, CertificateStatus};
+use crate::durable::{self, Durability, ResumedProperty};
 use crate::engine::EngineKind;
-use crate::result::{CheckOptions, CheckResult, Supervision, UnknownReason};
+use crate::params::{self, Property, SynthesisEngine, SynthesisResult};
+use crate::portfolio::CheckReport;
+use crate::result::{CheckOptions, CheckResult, McError, UnknownReason};
 use crate::retry::RetryPolicy;
-use crate::stats::{Stats, TraceSink};
+use crate::stats::Stats;
 use crate::verifier::Verifier;
 
 /// Builds a JSON object from ordered pairs.
@@ -299,12 +309,6 @@ impl JobSpec {
         })
     }
 
-    /// The engine this spec asks for; [`EngineKind::Auto`] when the tag
-    /// is unknown (validation rejects unknown tags before execution).
-    pub fn engine_kind(&self) -> EngineKind {
-        EngineKind::from_tag(&self.engine).unwrap_or(EngineKind::Auto)
-    }
-
     /// The one validation gate, shared by the CLI (before running
     /// locally) and the daemon (at admission, before anything is
     /// journaled): the model must parse, the engine tag must exist,
@@ -320,10 +324,15 @@ impl JobSpec {
                 self.engine
             )));
         }
+        let names = || {
+            let names: Vec<&str> = model.properties.iter().map(|(n, _)| n.as_str()).collect();
+            names.join(", ")
+        };
         if let Some(prop) = &self.prop {
             if !model.properties.iter().any(|(n, _)| n == prop) {
                 return Err(SpecError::BadRequest(format!(
-                    "model has no property `{prop}`"
+                    "model has no property `{prop}` (model has: {})",
+                    names()
                 )));
             }
         }
@@ -342,15 +351,24 @@ impl JobSpec {
                         return Err(SpecError::BadRequest(format!("unknown parameter `{p}`")));
                     }
                 }
-                let selected = model
+                let selected: Vec<_> = model
                     .properties
                     .iter()
                     .filter(|(n, _)| self.prop.as_deref().is_none_or(|p| p == n))
-                    .count();
-                if selected != 1 {
-                    return Err(SpecError::BadRequest(
-                        "synth needs exactly one property (use prop)".into(),
-                    ));
+                    .collect();
+                match selected.as_slice() {
+                    [(_, CompiledProperty::Ctl(_))] => {
+                        return Err(SpecError::BadRequest(
+                            "synth supports invariant and ltl properties".into(),
+                        ))
+                    }
+                    [_] => {}
+                    _ => {
+                        return Err(SpecError::BadRequest(format!(
+                            "synth needs exactly one property (use prop); model has: {}",
+                            names()
+                        )))
+                    }
                 }
             }
         }
@@ -358,12 +376,13 @@ impl JobSpec {
     }
 
     /// Overlays this spec's budgets onto `base` options: depth,
-    /// deadline (as a wall-clock timeout), certification.
+    /// deadline (as a wall-clock timeout, unless `base` already carries
+    /// one), certification.
     pub fn check_options(&self, mut base: CheckOptions) -> CheckOptions {
         if let Some(d) = self.depth {
             base.max_depth = d;
         }
-        if let Some(ms) = self.deadline_ms {
+        if let (None, Some(ms)) = (base.timeout, self.deadline_ms) {
             base = base.with_timeout(Duration::from_millis(ms));
         }
         if self.certify {
@@ -429,6 +448,27 @@ impl VerdictRow {
     pub fn decided(&self) -> bool {
         self.verdict == "safe" || self.verdict == "unsafe"
     }
+
+    /// An `unknown` row tagged with `reason` (an [`UnknownReason`] tag,
+    /// or a transport failure such as `client-error`).
+    pub fn unknown(name: &str, reason: &str, engine: &str, detail: String) -> VerdictRow {
+        VerdictRow {
+            name: name.to_string(),
+            verdict: "unknown".into(),
+            reason: Some(reason.to_string()),
+            engine: engine.to_string(),
+            detail,
+        }
+    }
+
+    /// True when the row is unknown for an infrastructure reason
+    /// ([`UnknownReason::infrastructure`]).
+    pub fn infra_failure(&self) -> bool {
+        self.reason
+            .as_deref()
+            .and_then(UnknownReason::from_tag)
+            .is_some_and(UnknownReason::infrastructure)
+    }
 }
 
 /// The coarse verdict bucket used in rows, JSON output, and exit
@@ -443,188 +483,348 @@ pub fn verdict_tag(r: &CheckResult) -> &'static str {
     }
 }
 
-/// Runtime context for [`execute`]: everything about *how* to run that
-/// is not part of the job's identity (and so is excluded from the
-/// fingerprint) — cancellation, tracing, supervision, the remaining
-/// deadline budget, and hedged engine overrides.
+/// Runtime context for [`run`] and [`execute`]: everything about *how*
+/// to run that is not part of the job's identity (and so is excluded
+/// from the fingerprint).
 #[derive(Clone, Default)]
 pub struct ExecContext {
-    /// Cooperative cancellation flag, polled by every engine budget.
-    pub stop: Option<Arc<AtomicBool>>,
-    /// JSONL trace sink for span/depth/mark events.
-    pub sink: Option<Arc<TraceSink>>,
-    /// Watchdog heartbeat / solver-poisoning handle.
-    pub supervision: Option<Arc<Supervision>>,
-    /// Remaining wall-clock budget; takes precedence over the spec's
-    /// `deadline_ms` (the daemon charges queue time against it).
-    pub timeout: Option<Duration>,
+    /// The options the spec's budgets overlay: the caller's stop flag,
+    /// trace sink, supervision handle, retry policy and engine knobs. A
+    /// `timeout` here is the remaining wall-clock budget and wins over
+    /// the spec's `deadline_ms` (the daemon charges queue time against
+    /// it).
+    pub base: CheckOptions,
     /// Replaces the spec's engine tag (hedged re-execution).
     pub engine_override: Option<String>,
     /// Worker threads for the engines themselves; defaults to 1 (the
     /// daemon parallelizes across jobs, not within them).
     pub jobs: usize,
+    /// Synth only: stop the sweep at the first SAFE assignment.
+    pub first_safe: bool,
+    /// Record every decided verdict in a crash-safe journal.
+    pub journal: Option<JournalHook>,
 }
 
-/// Runs a spec to a verdict-row list through the engine registry. This
-/// is the single execution path behind the server's workers, the
-/// scenario sweep's local mode, and the agreement tests — a spec
-/// executed here and a spec shipped over the socket run byte-identical
-/// input through identical code.
-pub fn execute(spec: &JobSpec, ctx: &ExecContext) -> (Vec<VerdictRow>, Option<Stats>) {
-    let model = match verdict_dsl::parse(&spec.source) {
-        Ok(m) => m,
-        Err(e) => {
-            // Validated at admission; reaching this means the model was
-            // corrupted in flight — surface as an engine failure.
-            return (
-                vec![VerdictRow {
-                    name: "(model)".into(),
-                    verdict: "unknown".into(),
-                    reason: Some(UnknownReason::EngineFailure.tag().into()),
-                    engine: spec.engine.clone(),
-                    detail: e.to_string(),
-                }],
-                None,
-            );
+/// Where a run journals its verdicts (see [`crate::durable`]).
+#[derive(Clone, Debug)]
+pub struct JournalHook {
+    /// The journal file.
+    pub path: PathBuf,
+    /// Read back the verdicts an earlier run decided in `path` and skip
+    /// them, appending new ones to the same file; otherwise a journal
+    /// already at `path` is refused.
+    pub resume: bool,
+}
+
+/// What one property of a check job came to.
+pub enum PropertyOutcome {
+    /// Checked by this run, after any retries.
+    Checked {
+        /// Verdict, winning engine, wall time and stats.
+        report: Box<CheckReport>,
+        /// The certificate behind the verdict.
+        certificate: CertificateStatus,
+    },
+    /// Decided by an earlier run and read back from the journal.
+    Resumed(ResumedProperty),
+    /// The engine cannot check this property (e.g. CTL under BMC).
+    Failed(McError),
+}
+
+/// Everything a job produced, before [`execute`] boils it down to rows.
+pub enum JobReport {
+    /// One outcome per selected property, in model order.
+    Check(Vec<(String, PropertyOutcome)>),
+    /// The sweep over the job's one property.
+    Synth {
+        /// The property's name.
+        property: String,
+        /// The engine every assignment ran under.
+        engine: SynthesisEngine,
+        /// Assignments taken from a resumed journal.
+        resumed: usize,
+        /// The sweep, or why it could not run.
+        result: Result<SynthesisResult, McError>,
+    },
+}
+
+impl JobReport {
+    /// One row per property (check) or assignment (synth); a failed
+    /// property or sweep becomes an `engine-failure` unknown row
+    /// attributed to `engine`, the tag the job asked for.
+    pub fn rows(&self, engine: &str) -> Vec<VerdictRow> {
+        match self {
+            JobReport::Check(outcomes) => outcomes
+                .iter()
+                .map(|(name, outcome)| match outcome {
+                    PropertyOutcome::Checked { report, .. } => {
+                        result_row(name.clone(), &report.result, report.winner.to_string())
+                    }
+                    PropertyOutcome::Resumed(prev) => VerdictRow {
+                        name: name.clone(),
+                        verdict: prev.verdict.tag().to_string(),
+                        reason: None,
+                        engine: prev.engine.clone(),
+                        detail: prev.verdict.tag().to_string(),
+                    },
+                    PropertyOutcome::Failed(e) => VerdictRow::unknown(
+                        name,
+                        UnknownReason::EngineFailure.tag(),
+                        engine,
+                        e.to_string(),
+                    ),
+                })
+                .collect(),
+            JobReport::Synth {
+                property,
+                engine: synth_engine,
+                result,
+                ..
+            } => match result {
+                Ok(result) => result
+                    .verdicts
+                    .iter()
+                    .map(|v| {
+                        let assignment: Vec<String> = result
+                            .param_names
+                            .iter()
+                            .zip(&v.values)
+                            .map(|(n, x)| format!("{n}={x}"))
+                            .collect();
+                        result_row(
+                            assignment.join(","),
+                            &v.result,
+                            format!("{synth_engine:?}").to_lowercase(),
+                        )
+                    })
+                    .collect(),
+                Err(e) => vec![VerdictRow::unknown(
+                    property,
+                    UnknownReason::EngineFailure.tag(),
+                    engine,
+                    e.to_string(),
+                )],
+            },
         }
-    };
+    }
+
+    /// The checked properties' stats, merged; `None` for synth jobs.
+    pub fn stats(&self) -> Option<Stats> {
+        let JobReport::Check(outcomes) = self else {
+            return None;
+        };
+        let mut agg = Stats::default();
+        for (_, outcome) in outcomes {
+            if let PropertyOutcome::Checked { report, .. } = outcome {
+                agg.merge(&report.stats);
+            }
+        }
+        Some(agg)
+    }
+}
+
+fn result_row(name: String, result: &CheckResult, engine: String) -> VerdictRow {
+    VerdictRow {
+        name,
+        verdict: verdict_tag(result).to_string(),
+        reason: match result {
+            CheckResult::Unknown(r) => Some(r.tag().to_string()),
+            _ => None,
+        },
+        engine,
+        detail: result.to_string(),
+    }
+}
+
+/// Runs a spec through the engine registry. This is the single
+/// execution path: `verdict check` and `verdict synth` print its
+/// report, while the server's workers, the scenario sweep and the
+/// agreement tests go through [`execute`], a thin map over it — so a
+/// spec run locally and a spec shipped over the socket run
+/// byte-identical input through identical code.
+///
+/// Errors are a model that does not parse or a journal that cannot be
+/// opened; a property or sweep the engines refuse is reported inside
+/// the [`JobReport`].
+pub fn run(spec: &JobSpec, ctx: &ExecContext) -> Result<JobReport, String> {
+    let model = verdict_dsl::parse(&spec.source).map_err(|e| e.to_string())?;
     let engine_tag = ctx.engine_override.as_deref().unwrap_or(&spec.engine);
     let engine = EngineKind::from_tag(engine_tag).unwrap_or(EngineKind::Auto);
-    let mut opts = CheckOptions::default().with_jobs(ctx.jobs.max(1));
-    if let Some(stop) = &ctx.stop {
-        opts = opts.with_stop(Arc::clone(stop));
-    }
-    if let Some(d) = spec.depth {
-        opts.max_depth = d;
-    }
-    if let Some(t) = ctx.timeout.or(spec.deadline_ms.map(Duration::from_millis)) {
-        opts = opts.with_timeout(t);
-    }
-    if spec.certify {
-        opts = opts.with_certify();
-    }
-    if let Some(sup) = &ctx.supervision {
-        opts = opts.with_supervision(Arc::clone(sup));
-    }
-    if let Some(sink) = &ctx.sink {
-        opts = opts.with_trace(Arc::clone(sink));
-    }
+    let opts = spec.check_options(ctx.base.clone().with_jobs(ctx.jobs.max(1)));
+    let selected: Vec<&(String, CompiledProperty)> = model
+        .properties
+        .iter()
+        .filter(|(n, _)| spec.prop.as_deref().is_none_or(|p| p == n))
+        .collect();
+    let journal = ctx.journal.as_ref();
     match spec.kind {
-        JobKind::Check => {
-            let mut rows = Vec::new();
-            let mut agg = Stats::default();
-            for (name, property) in model
-                .properties
-                .iter()
-                .filter(|(n, _)| spec.prop.as_deref().is_none_or(|p| p == n))
-            {
-                let verifier = Verifier::new(&model.system)
-                    .engine(engine)
-                    .options(opts.clone());
-                let report = match property {
-                    verdict_dsl::CompiledProperty::Invariant(p) => {
-                        verifier.check_invariant_report(p)
-                    }
-                    verdict_dsl::CompiledProperty::Ltl(f) => verifier.check_ltl_report(f),
-                    verdict_dsl::CompiledProperty::Ctl(f) => verifier.check_ctl_report(f),
-                };
-                match report {
-                    Ok(r) => {
-                        agg.merge(&r.stats);
-                        rows.push(VerdictRow {
-                            name: name.clone(),
-                            verdict: verdict_tag(&r.result).to_string(),
-                            reason: match &r.result {
-                                CheckResult::Unknown(reason) => Some(reason.tag().to_string()),
-                                _ => None,
-                            },
-                            engine: r.winner.to_string(),
-                            detail: r.result.to_string(),
-                        });
-                    }
-                    Err(e) => rows.push(VerdictRow {
-                        name: name.clone(),
-                        verdict: "unknown".into(),
-                        reason: Some(UnknownReason::EngineFailure.tag().into()),
-                        engine: engine_tag.to_string(),
-                        detail: e.to_string(),
-                    }),
-                }
-            }
-            (rows, Some(agg))
-        }
+        JobKind::Check => check_properties(&model.system, &selected, engine, &opts, journal),
         JobKind::Synth => {
-            let params: Vec<_> = spec
+            let Some((name, property)) = selected.first() else {
+                return Err("synth needs exactly one property (use prop)".into());
+            };
+            let params: Vec<VarId> = spec
                 .params
                 .iter()
                 .filter_map(|p| model.system.var_by_name(p))
                 .collect();
-            let (name, property) = match model
-                .properties
-                .iter()
-                .find(|(n, _)| spec.prop.as_deref().is_none_or(|p| p == n))
-            {
-                Some(pair) => pair,
-                None => return (Vec::new(), None),
-            };
-            let prop = match property {
-                verdict_dsl::CompiledProperty::Invariant(p) => {
-                    crate::params::Property::Invariant(p.clone())
-                }
-                verdict_dsl::CompiledProperty::Ltl(f) => crate::params::Property::Ltl(f.clone()),
-                verdict_dsl::CompiledProperty::Ctl(_) => {
-                    return (
-                        vec![VerdictRow {
-                            name: name.clone(),
-                            verdict: "unknown".into(),
-                            reason: Some(UnknownReason::EngineFailure.tag().into()),
-                            engine: engine_tag.to_string(),
-                            detail: "synth supports invariant and ltl properties".into(),
-                        }],
-                        None,
-                    );
-                }
-            };
-            let verifier = Verifier::new(&model.system).engine(engine).options(opts);
-            let synth_engine = verifier.synthesis_engine(&prop);
-            match verifier.synthesize_params_durable(&params, &prop, &crate::Durability::none()) {
-                Ok(result) => {
-                    let rows = result
-                        .verdicts
-                        .iter()
-                        .map(|v| {
-                            let assignment: Vec<String> = result
-                                .param_names
-                                .iter()
-                                .zip(&v.values)
-                                .map(|(n, x)| format!("{n}={x}"))
-                                .collect();
-                            VerdictRow {
-                                name: assignment.join(","),
-                                verdict: verdict_tag(&v.result).to_string(),
-                                reason: match &v.result {
-                                    CheckResult::Unknown(r) => Some(r.tag().to_string()),
-                                    _ => None,
-                                },
-                                engine: format!("{synth_engine:?}").to_lowercase(),
-                                detail: v.result.to_string(),
-                            }
-                        })
-                        .collect();
-                    (rows, None)
-                }
-                Err(e) => (
-                    vec![VerdictRow {
-                        name: name.clone(),
-                        verdict: "unknown".into(),
-                        reason: Some(UnknownReason::EngineFailure.tag().into()),
-                        engine: engine_tag.to_string(),
-                        detail: e.to_string(),
-                    }],
-                    None,
+            let prop = Property::from_compiled(property)
+                .ok_or("synth supports invariant and ltl properties")?;
+            let synth_engine = params::synthesis_engine(engine, &model.system, &prop);
+            let sys = &model.system;
+            let journaled = match journal {
+                Some(j) => Some(
+                    durable::start_sweep_journal(
+                        &j.path,
+                        j.resume,
+                        sys,
+                        &params,
+                        &prop,
+                        synth_engine,
+                        &opts,
+                    )
+                    .map_err(|e| e.to_string())?,
                 ),
+                None => None,
+            };
+            let durability = match &journaled {
+                Some((recorder, state)) => Durability {
+                    recorder: Some(recorder),
+                    resume: Some(state),
+                },
+                None => Durability::none(),
+            };
+            let result = params::synthesize(
+                sys,
+                &params,
+                &prop,
+                synth_engine,
+                &opts,
+                ctx.first_safe,
+                &durability,
+            );
+            Ok(JobReport::Synth {
+                property: name.clone(),
+                engine: synth_engine,
+                resumed: journaled.as_ref().map_or(0, |(_, state)| state.len()),
+                result,
+            })
+        }
+    }
+}
+
+/// Checks each selected property, skipping (without certification) the
+/// ones a resumed journal already decided and retrying infrastructure
+/// failures under `opts.retry`.
+fn check_properties(
+    sys: &System,
+    selected: &[&(String, CompiledProperty)],
+    engine: EngineKind,
+    opts: &CheckOptions,
+    journal: Option<&JournalHook>,
+) -> Result<JobReport, String> {
+    let (recorder, mut resumed) = match journal {
+        Some(j) => {
+            // Fingerprint material: property formulas (not just names),
+            // so an edited property body invalidates the journal.
+            let specs: Vec<(String, String)> = selected
+                .iter()
+                .map(|(n, p)| (n.clone(), format!("{p:?}")))
+                .collect();
+            let (recorder, resumed) =
+                durable::start_check_journal(&j.path, j.resume, sys, &specs, &engine.to_string())
+                    .map_err(|e| e.to_string())?;
+            (Some(recorder), resumed)
+        }
+        None => (None, HashMap::new()),
+    };
+    let mut outcomes = Vec::with_capacity(selected.len());
+    for (idx, (name, property)) in selected.iter().enumerate() {
+        // Only decided verdicts are ever resumed, and only without
+        // certification: with it, every property is re-verified.
+        if !opts.certify {
+            if let Some(prev) = resumed.remove(name) {
+                outcomes.push((name.clone(), PropertyOutcome::Resumed(prev)));
+                continue;
             }
         }
+        let outcome = match check_with_retry(sys, property, engine, opts, idx as u64) {
+            Ok(report) => {
+                if let Some(rec) = &recorder {
+                    rec.record_property(name, &report.result, &report.winner.to_string());
+                }
+                let certificate =
+                    certify::status(opts.certify, report.winner, property, &report.result);
+                PropertyOutcome::Checked {
+                    report: Box::new(report),
+                    certificate,
+                }
+            }
+            Err(e) => PropertyOutcome::Failed(e),
+        };
+        outcomes.push((name.clone(), outcome));
+    }
+    Ok(JobReport::Check(outcomes))
+}
+
+/// Checks one property, re-running it with escalated budgets and a
+/// backoff pause while it comes back unknown for a retryable reason and
+/// the policy has attempts left (never once the stop flag is up).
+/// Retries are counted in the report's stats.
+fn check_with_retry(
+    sys: &System,
+    property: &CompiledProperty,
+    engine: EngineKind,
+    opts: &CheckOptions,
+    idx: u64,
+) -> Result<CheckReport, McError> {
+    let max_attempts = opts.retry.as_ref().map_or(1, |p| p.max_attempts);
+    let mut attempt = 1u32;
+    loop {
+        let run_opts = match &opts.retry {
+            Some(policy) if attempt > 1 => policy.escalate(opts, attempt),
+            _ => opts.clone(),
+        };
+        let mut report = Verifier::new(sys)
+            .engine(engine)
+            .options(run_opts)
+            .check(property)?;
+        let stopped = opts
+            .stop
+            .as_ref()
+            .is_some_and(|s| s.load(Ordering::Relaxed));
+        let retryable = matches!(&report.result, CheckResult::Unknown(r) if r.retryable());
+        match &opts.retry {
+            Some(policy) if retryable && !stopped && attempt < max_attempts => {
+                std::thread::sleep(policy.backoff_for(idx, attempt + 1));
+                attempt += 1;
+            }
+            _ => {
+                report.stats.retries += u64::from(attempt - 1);
+                return Ok(report);
+            }
+        }
+    }
+}
+
+/// Runs a spec to a verdict-row list: [`run`], with a model that fails
+/// to parse (validated at admission, so corrupted in flight) reported as
+/// an `engine-failure` row. Check jobs also return their merged stats.
+pub fn execute(spec: &JobSpec, ctx: &ExecContext) -> (Vec<VerdictRow>, Option<Stats>) {
+    match run(spec, ctx) {
+        Ok(report) => {
+            let engine = ctx.engine_override.as_deref().unwrap_or(&spec.engine);
+            (report.rows(engine), report.stats())
+        }
+        Err(e) => (
+            vec![VerdictRow::unknown(
+                "(model)",
+                UnknownReason::EngineFailure.tag(),
+                &spec.engine,
+                e,
+            )],
+            None,
+        ),
     }
 }
 
@@ -795,6 +995,13 @@ mod tests {
         assert!(matches!(synth.validate(), Err(SpecError::BadRequest(_))));
         synth.params = Vec::new();
         assert!(matches!(synth.validate(), Err(SpecError::BadRequest(_))));
+        // Synthesis has no CTL form: refused at admission, not at run time.
+        let ctl = COUNTER.replace("invariant miss5: n != 5;", "ctl reach: EF (n = 5);");
+        let mut synth = JobSpec::synth(&ctl, &["p"]);
+        synth.prop = Some("reach".into());
+        assert!(
+            matches!(synth.validate(), Err(SpecError::BadRequest(m)) if m.contains("invariant and ltl"))
+        );
     }
 
     #[test]

@@ -25,6 +25,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use verdict_journal::json::quote;
+
 use crate::engine::EngineKind;
 
 /// Version of the stats / CLI JSON schema. Bumped whenever a field is
@@ -693,23 +695,6 @@ impl Stats {
     }
 }
 
-/// Minimal JSON string escaping for trace event payloads.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A shared JSONL event log (`--trace FILE`). One JSON object per line:
 ///
 /// ```json
@@ -773,10 +758,10 @@ impl TraceSink {
     /// Emits a free-form marker event (race winners, retry attempts, …).
     pub fn mark(&self, engine: &str, name: &str, detail: &str) {
         self.emit(&format!(
-            "\"kind\":\"mark\",\"engine\":\"{}\",\"name\":\"{}\",\"detail\":\"{}\"",
-            json_escape(engine),
-            json_escape(name),
-            json_escape(detail)
+            "\"kind\":\"mark\",\"engine\":{},\"name\":{},\"detail\":{}",
+            quote(engine),
+            quote(name),
+            quote(detail)
         ));
     }
 

@@ -6,6 +6,7 @@
 //! suggested safe parameters.
 //!
 //! ```
+//! use verdict_dsl::CompiledProperty;
 //! use verdict_mc::{EngineKind, Verifier};
 //! use verdict_ts::{Expr, System};
 //!
@@ -18,17 +19,21 @@
 //!     Expr::var(n),
 //! )));
 //! let verifier = Verifier::new(&sys);
-//! let ok = verifier.check_invariant(&Expr::var(n).le(Expr::int(7))).unwrap();
-//! assert!(ok.holds());
-//! let bad = verifier.check_invariant(&Expr::var(n).lt(Expr::int(7))).unwrap();
-//! assert!(bad.violated());
+//! let ok = verifier.check(&CompiledProperty::Invariant(Expr::var(n).le(Expr::int(7)))).unwrap();
+//! assert!(ok.result.holds());
+//! let bad = verifier.check(&CompiledProperty::Invariant(Expr::var(n).lt(Expr::int(7)))).unwrap();
+//! assert!(bad.result.violated());
 //! ```
 
-use verdict_ts::{Ctl, Expr, Ltl, System, VarId};
+use std::time::Instant;
+
+use verdict_dsl::CompiledProperty;
+use verdict_ts::{System, VarId};
 
 use crate::durable::Durability;
 use crate::engine::{engine, EngineKind};
-use crate::params::{self, Property, SynthesisEngine, SynthesisResult};
+use crate::params::{self, Property, SynthesisResult};
+use crate::portfolio::{self, CheckReport};
 use crate::result::{CheckOptions, CheckResult, McError, UnknownReason};
 use crate::stats::Stats;
 
@@ -41,13 +46,7 @@ fn contained(
     f: impl FnOnce() -> Result<CheckResult, McError>,
 ) -> Result<CheckResult, McError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        let msg: &str = if let Some(s) = payload.downcast_ref::<&str>() {
-            s
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s
-        } else {
-            "non-string panic payload"
-        };
+        let msg = portfolio::panic_message(payload.as_ref());
         eprintln!("verdict-mc: {engine} engine panicked: {msg}");
         Ok(CheckResult::Unknown(UnknownReason::EngineFailure))
     })
@@ -83,161 +82,34 @@ impl<'s> Verifier<'s> {
         self
     }
 
-    /// The engine a check will actually use once `Auto` is resolved
-    /// against the system's sorts (reported in CLI/JSON output).
-    pub fn effective_engine(&self) -> EngineKind {
-        match self.engine {
-            EngineKind::Auto => crate::engine::resolve_auto(self.sys),
-            e => e,
+    /// Checks an invariant, LTL or CTL property (CTL on finite engines
+    /// only). `Auto` resolves against the system's sorts; the portfolio
+    /// races its contenders and reports the winner, while every other
+    /// engine runs solo, panic-contained, and reports itself as the
+    /// winner with its own stats.
+    pub fn check(&self, property: &CompiledProperty) -> Result<CheckReport, McError> {
+        let kind = self.engine.resolve(self.sys);
+        if kind == EngineKind::Portfolio {
+            return portfolio::run(self.sys, property, &self.opts, &mut Stats::default());
         }
-    }
-
-    /// Hands back `stats` with the options' trace sink attached when the
-    /// caller didn't bring one of their own.
-    fn wire_trace(&self, stats: &mut Stats) {
-        if stats.trace().is_none() {
-            if let Some(sink) = &self.opts.trace {
-                *stats = std::mem::take(stats).with_trace(Some(sink.clone()));
-            }
-        }
-    }
-
-    /// Checks the safety property `G p`.
-    pub fn check_invariant(&self, p: &Expr) -> Result<CheckResult, McError> {
-        self.check_invariant_stats(p, &mut Stats::default())
-    }
-
-    /// Like [`Verifier::check_invariant`], recording engine counters and
-    /// phase timings into `stats`.
-    pub fn check_invariant_stats(
-        &self,
-        p: &Expr,
-        stats: &mut Stats,
-    ) -> Result<CheckResult, McError> {
-        let kind = self.effective_engine();
-        self.wire_trace(stats);
-        contained(kind, || {
-            engine(kind).check_invariant(self.sys, p, &self.opts, stats)
+        let start = Instant::now();
+        let mut stats = Stats::for_engine(kind).with_trace(self.opts.trace.clone());
+        let result = contained(kind, || {
+            engine(kind).check(self.sys, property, &self.opts, &mut stats)
+        })?;
+        Ok(CheckReport {
+            winner: kind,
+            wall: start.elapsed(),
+            outcomes: vec![(kind, result.clone())],
+            contender_stats: vec![(kind, stats.clone())],
+            stats,
+            result,
         })
     }
 
-    /// Like [`Verifier::check_invariant`] but always returns the racing
-    /// metadata ([`crate::portfolio::CheckReport`]): winning engine, stats,
-    /// and wall-clock time. Non-portfolio engines run solo and report
-    /// themselves as the winner.
-    pub fn check_invariant_report(
-        &self,
-        p: &Expr,
-    ) -> Result<crate::portfolio::CheckReport, McError> {
-        use std::time::Instant;
-        match self.effective_engine() {
-            EngineKind::Portfolio => {
-                let mut stats = Stats::default();
-                self.wire_trace(&mut stats);
-                crate::portfolio::run_invariant(self.sys, p, &self.opts, &mut stats)
-            }
-            kind => {
-                let start = Instant::now();
-                let mut stats = Stats::for_engine(kind);
-                let result = self.check_invariant_stats(p, &mut stats)?;
-                Ok(crate::portfolio::CheckReport {
-                    winner: kind,
-                    wall: start.elapsed(),
-                    outcomes: vec![(kind, result.clone())],
-                    contender_stats: vec![(kind, stats.clone())],
-                    stats,
-                    result,
-                })
-            }
-        }
-    }
-
-    /// Checks an LTL property.
-    pub fn check_ltl(&self, phi: &Ltl) -> Result<CheckResult, McError> {
-        self.check_ltl_stats(phi, &mut Stats::default())
-    }
-
-    /// Like [`Verifier::check_ltl`], recording engine counters and phase
-    /// timings into `stats`.
-    pub fn check_ltl_stats(&self, phi: &Ltl, stats: &mut Stats) -> Result<CheckResult, McError> {
-        let kind = self.effective_engine();
-        self.wire_trace(stats);
-        contained(kind, || {
-            engine(kind).check_ltl(self.sys, phi, &self.opts, stats)
-        })
-    }
-
-    /// Like [`Verifier::check_ltl`] but always returns the racing
-    /// metadata ([`crate::portfolio::CheckReport`]). Non-portfolio
-    /// engines run solo and report themselves as the winner.
-    pub fn check_ltl_report(&self, phi: &Ltl) -> Result<crate::portfolio::CheckReport, McError> {
-        use std::time::Instant;
-        match self.effective_engine() {
-            EngineKind::Portfolio => {
-                let mut stats = Stats::default();
-                self.wire_trace(&mut stats);
-                crate::portfolio::run_ltl(self.sys, phi, &self.opts, &mut stats)
-            }
-            kind => {
-                let start = Instant::now();
-                let mut stats = Stats::for_engine(kind);
-                let result = self.check_ltl_stats(phi, &mut stats)?;
-                Ok(crate::portfolio::CheckReport {
-                    winner: kind,
-                    wall: start.elapsed(),
-                    outcomes: vec![(kind, result.clone())],
-                    contender_stats: vec![(kind, stats.clone())],
-                    stats,
-                    result,
-                })
-            }
-        }
-    }
-
-    /// Checks a CTL property (finite engines only).
-    pub fn check_ctl(&self, phi: &Ctl) -> Result<CheckResult, McError> {
-        self.check_ctl_stats(phi, &mut Stats::default())
-    }
-
-    /// Like [`Verifier::check_ctl`], recording engine counters and phase
-    /// timings into `stats`.
-    pub fn check_ctl_stats(&self, phi: &Ctl, stats: &mut Stats) -> Result<CheckResult, McError> {
-        let kind = self.effective_engine();
-        self.wire_trace(stats);
-        contained(kind, || {
-            engine(kind).check_ctl(self.sys, phi, &self.opts, stats)
-        })
-    }
-
-    /// Like [`Verifier::check_ctl`] but always returns the racing
-    /// metadata ([`crate::portfolio::CheckReport`]). Non-portfolio
-    /// engines run solo and report themselves as the winner.
-    pub fn check_ctl_report(&self, phi: &Ctl) -> Result<crate::portfolio::CheckReport, McError> {
-        use std::time::Instant;
-        match self.effective_engine() {
-            EngineKind::Portfolio => {
-                let mut stats = Stats::default();
-                self.wire_trace(&mut stats);
-                crate::portfolio::run_ctl(self.sys, phi, &self.opts, &mut stats)
-            }
-            kind => {
-                let start = Instant::now();
-                let mut stats = Stats::for_engine(kind);
-                let result = self.check_ctl_stats(phi, &mut stats)?;
-                Ok(crate::portfolio::CheckReport {
-                    winner: kind,
-                    wall: start.elapsed(),
-                    outcomes: vec![(kind, result.clone())],
-                    contender_stats: vec![(kind, stats.clone())],
-                    stats,
-                    result,
-                })
-            }
-        }
-    }
-
-    /// Synthesizes safe values for the given frozen parameters against an
-    /// invariant (paper case study 1's `p ∈ {1, 2}` workflow).
+    /// Synthesizes safe values for the given frozen parameters (paper
+    /// case study 1's `p ∈ {1, 2}` workflow): every assignment is
+    /// checked, none journaled.
     pub fn synthesize_params(
         &self,
         params: &[VarId],
@@ -247,88 +119,18 @@ impl<'s> Verifier<'s> {
             self.sys,
             params,
             property,
-            self.synthesis_engine(property),
+            params::synthesis_engine(self.engine, self.sys, property),
             &self.opts,
+            false,
+            &Durability::none(),
         )
-    }
-
-    /// Like [`Verifier::synthesize_params`] but stops at the first SAFE
-    /// assignment, cancelling outstanding workers (assignments not fully
-    /// checked report `Unknown(Cancelled)`).
-    pub fn synthesize_params_first_safe(
-        &self,
-        params: &[VarId],
-        property: &Property,
-    ) -> Result<SynthesisResult, McError> {
-        params::synthesize_first_safe(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-        )
-    }
-
-    /// Like [`Verifier::synthesize_params`] but records every verdict in a
-    /// journal and/or skips assignments already decided by a resumed run
-    /// (see [`crate::durable`]).
-    pub fn synthesize_params_durable(
-        &self,
-        params: &[VarId],
-        property: &Property,
-        durability: &Durability<'_>,
-    ) -> Result<SynthesisResult, McError> {
-        params::synthesize_durable(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-            durability,
-        )
-    }
-
-    /// Durable variant of [`Verifier::synthesize_params_first_safe`].
-    pub fn synthesize_params_first_safe_durable(
-        &self,
-        params: &[VarId],
-        property: &Property,
-        durability: &Durability<'_>,
-    ) -> Result<SynthesisResult, McError> {
-        params::synthesize_first_safe_durable(
-            self.sys,
-            params,
-            property,
-            self.synthesis_engine(property),
-            &self.opts,
-            durability,
-        )
-    }
-
-    /// The synthesis engine a parameter sweep will use for `property`
-    /// (needed by callers to fingerprint a journal before the sweep runs).
-    pub fn synthesis_engine(&self, property: &Property) -> SynthesisEngine {
-        match self.effective_engine() {
-            EngineKind::Bdd => SynthesisEngine::Bdd,
-            EngineKind::Explicit => SynthesisEngine::Explicit,
-            _ => match property {
-                Property::Invariant(_) => SynthesisEngine::KInduction,
-                Property::Ltl(_) => SynthesisEngine::Bdd,
-            },
-        }
-    }
-
-    /// Finds violating parameter values symbolically (they appear in the
-    /// returned counterexample trace).
-    pub fn find_violating_params(&self, property: &Property) -> Result<CheckResult, McError> {
-        params::find_violating_params(self.sys, property, &self.opts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use verdict_ts::Value;
+    use verdict_ts::{Ctl, Expr, Value};
 
     fn counter() -> (System, VarId) {
         let mut sys = System::new("counter");
@@ -342,17 +144,23 @@ mod tests {
         (sys, n)
     }
 
+    fn inv(p: Expr) -> CompiledProperty {
+        CompiledProperty::Invariant(p)
+    }
+
     #[test]
     fn auto_engine_proves_and_falsifies() {
         let (sys, n) = counter();
         let v = Verifier::new(&sys);
         assert!(v
-            .check_invariant(&Expr::var(n).le(Expr::int(7)))
+            .check(&inv(Expr::var(n).le(Expr::int(7))))
             .unwrap()
+            .result
             .holds());
         assert!(v
-            .check_invariant(&Expr::var(n).lt(Expr::int(5)))
+            .check(&inv(Expr::var(n).lt(Expr::int(5))))
             .unwrap()
+            .result
             .violated());
     }
 
@@ -363,9 +171,10 @@ mod tests {
         // BMC can only falsify; a holding invariant gives Unknown.
         let r = bmc
             .options(CheckOptions::with_depth(10))
-            .check_invariant(&Expr::var(n).le(Expr::int(7)))
+            .check(&inv(Expr::var(n).le(Expr::int(7))))
             .unwrap();
-        assert!(matches!(r, CheckResult::Unknown(_)));
+        assert!(matches!(r.result, CheckResult::Unknown(_)));
+        assert_eq!(r.winner, EngineKind::Bmc);
     }
 
     #[test]
@@ -376,43 +185,35 @@ mod tests {
         sys.add_trans(Expr::next(x).eq(Expr::var(x).add(Expr::real(verdict_logic::Rational::ONE))));
         let v = Verifier::new(&sys).options(CheckOptions::with_depth(6));
         let r = v
-            .check_invariant(&Expr::var(x).lt(Expr::real(verdict_logic::Rational::integer(3))))
+            .check(&inv(
+                Expr::var(x).lt(Expr::real(verdict_logic::Rational::integer(3)))
+            ))
             .unwrap();
-        assert!(r.violated(), "{r}");
+        assert!(r.result.violated(), "{}", r.result);
+        assert_eq!(r.winner, EngineKind::SmtBmc);
     }
 
     #[test]
     fn ctl_requires_complete_engine() {
         let (sys, n) = counter();
+        let ef7 = CompiledProperty::Ctl(Ctl::atom(Expr::var(n).eq(Expr::int(7))).ef());
         let v = Verifier::new(&sys).engine(EngineKind::Bmc);
-        assert!(v
-            .check_ctl(&Ctl::atom(Expr::var(n).eq(Expr::int(7))).ef())
-            .is_err());
+        assert!(v.check(&ef7).is_err());
         let v = Verifier::new(&sys);
-        assert!(v
-            .check_ctl(&Ctl::atom(Expr::var(n).eq(Expr::int(7))).ef())
-            .unwrap()
-            .holds());
+        assert!(v.check(&ef7).unwrap().result.holds());
     }
 
     #[test]
-    fn stats_variants_record_counters() {
+    fn check_reports_solo_counters() {
         let (sys, n) = counter();
-        let v = Verifier::new(&sys);
-        let mut stats = Stats::default();
-        let r = v
-            .check_invariant_stats(&Expr::var(n).le(Expr::int(7)), &mut stats)
+        let report = Verifier::new(&sys)
+            .check(&inv(Expr::var(n).le(Expr::int(7))))
             .unwrap();
-        assert!(r.holds());
-        assert_eq!(stats.engine, Some(EngineKind::KInduction));
-        assert!(!stats.counters_are_zero());
-        assert!(!stats.depths.is_empty());
-
-        let report = v
-            .check_invariant_report(&Expr::var(n).le(Expr::int(7)))
-            .unwrap();
+        assert!(report.result.holds());
+        assert_eq!(report.winner, EngineKind::KInduction);
         assert_eq!(report.stats.engine, Some(report.winner));
         assert!(!report.stats.counters_are_zero());
+        assert!(!report.stats.depths.is_empty());
     }
 
     #[test]
@@ -430,7 +231,7 @@ mod tests {
         let prop = Property::Invariant(Expr::var(n).ne(Expr::int(5)));
         let r = v.synthesize_params(&[p], &prop).unwrap();
         assert_eq!(r.safe().len(), 2);
-        let viol = v.find_violating_params(&prop).unwrap();
+        let viol = params::find_violating_params(&sys, &prop, &CheckOptions::default()).unwrap();
         assert_eq!(viol.trace().unwrap().value(0, "p"), Some(&Value::Int(1)));
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use verdict_mc::params::{synthesize, Property, SynthesisEngine};
 use verdict_mc::prelude::*;
-use verdict_mc::Stats;
+use verdict_mc::{Durability, Stats};
 use verdict_sat::ClauseHub;
 use verdict_ts::{Expr, System};
 
@@ -189,8 +189,26 @@ fn sequential_sweep_keeps_runtime_counters_silent() {
         let opts = CheckOptions::with_depth(10)
             .with_jobs(1)
             .with_incremental(incremental);
-        let a = synthesize(&sys, &[limit], &prop, SynthesisEngine::KInduction, &opts).unwrap();
-        let b = synthesize(&sys, &[limit], &prop, SynthesisEngine::KInduction, &opts).unwrap();
+        let a = synthesize(
+            &sys,
+            &[limit],
+            &prop,
+            SynthesisEngine::KInduction,
+            &opts,
+            false,
+            &Durability::none(),
+        )
+        .unwrap();
+        let b = synthesize(
+            &sys,
+            &[limit],
+            &prop,
+            SynthesisEngine::KInduction,
+            &opts,
+            false,
+            &Durability::none(),
+        )
+        .unwrap();
         assert!(
             a.runtime.is_zero(),
             "incremental={incremental}: sequential sweep touched the parallel runtime"
@@ -232,12 +250,30 @@ fn synthesis_sweep_with_hub_reports_sharing_traffic() {
         .with_jobs(1)
         .with_incremental(true)
         .with_share_hub(Arc::clone(&hub));
-    let first = synthesize(&sys, &[slack], &prop, SynthesisEngine::KInduction, &opts).unwrap();
+    let first = synthesize(
+        &sys,
+        &[slack],
+        &prop,
+        SynthesisEngine::KInduction,
+        &opts,
+        false,
+        &Durability::none(),
+    )
+    .unwrap();
     assert!(
         first.runtime.clauses_exported > 0,
         "sweep exported nothing through the installed hub"
     );
-    let second = synthesize(&sys, &[slack], &prop, SynthesisEngine::KInduction, &opts).unwrap();
+    let second = synthesize(
+        &sys,
+        &[slack],
+        &prop,
+        SynthesisEngine::KInduction,
+        &opts,
+        false,
+        &Durability::none(),
+    )
+    .unwrap();
     assert!(
         second.runtime.clauses_imported > 0,
         "second sweep imported nothing"

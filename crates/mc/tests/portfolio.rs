@@ -34,7 +34,7 @@ fn loser_observes_stop_flag_and_exits_promptly() {
     let started = Instant::now();
     let report = Verifier::new(&sys)
         .engine(EngineKind::Portfolio)
-        .check_invariant_report(&p)
+        .check(&CompiledProperty::Invariant(p.clone()))
         .unwrap();
     let wall = started.elapsed();
     assert!(report.result.holds(), "{}", report.result);
@@ -70,7 +70,7 @@ fn portfolio_agrees_with_every_sequential_engine() {
         let report = Verifier::new(&sys)
             .engine(EngineKind::Portfolio)
             .options(opts.clone())
-            .check_invariant_report(&prop)
+            .check(&CompiledProperty::Invariant(prop.clone()))
             .unwrap();
         let b = engine(EngineKind::Bdd)
             .check_invariant(&sys, &prop, &opts, &mut Stats::default())
@@ -174,7 +174,7 @@ fn deadline_still_bounds_a_portfolio_without_winner() {
     let report = Verifier::new(&sys)
         .engine(EngineKind::Portfolio)
         .options(opts)
-        .check_invariant_report(&p)
+        .check(&CompiledProperty::Invariant(p.clone()))
         .unwrap();
     assert!(
         matches!(report.result, CheckResult::Unknown(_)),

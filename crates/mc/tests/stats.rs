@@ -126,7 +126,7 @@ fn portfolio_report_carries_winner_and_contender_stats() {
     let report = Verifier::new(&sys)
         .engine(EngineKind::Portfolio)
         .options(CheckOptions::with_depth(12))
-        .check_invariant_report(&p)
+        .check(&CompiledProperty::Invariant(p.clone()))
         .unwrap();
     // The report's stats are the winner's.
     assert_eq!(report.stats.engine, Some(report.winner));

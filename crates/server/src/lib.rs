@@ -63,7 +63,8 @@ use std::time::{Duration, Instant};
 use verdict_journal::json::Json;
 use verdict_journal::wal::{Wal, WalError, WalOptions, WalRecovery, WriterPool};
 use verdict_mc::{
-    ServerCounters, Stats, Supervision, SupervisionCounters, TraceSink, UnknownReason,
+    CheckOptions, ExecContext, ServerCounters, Stats, Supervision, SupervisionCounters, TraceSink,
+    UnknownReason,
 };
 use verdict_ring::Heartbeat;
 
@@ -283,6 +284,20 @@ impl Job {
         g.verdicts = verdicts;
         g.recovered = recovered;
         self.cv.notify_all();
+    }
+
+    /// Blocks until the job has more than `seen` trace events or is
+    /// finished, or `timeout` passes. The condition is checked under the
+    /// same guard the wait releases, so a [`Job::set_phase`] notify that
+    /// lands before the wait starts is not lost.
+    fn wait_for_news(&self, seen: usize, timeout: Duration) {
+        let g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = self
+            .cv
+            .wait_timeout_while(g, timeout, |s| {
+                s.events.len() <= seen && !matches!(s.phase, JobPhase::Done | JobPhase::Cancelled)
+            })
+            .unwrap_or_else(|e| e.into_inner());
     }
 
     /// Raises the stop flag of every execution of this job.
@@ -1179,13 +1194,12 @@ fn worker_loop(inner: &Arc<Inner>, slot_idx: usize, my_gen: u64) {
         // instead of starting a doomed run.
         if let Some(deadline) = job.deadline() {
             if Instant::now() >= deadline && !job.finalized.swap(true, Ordering::SeqCst) {
-                let rows = vec![VerdictRow {
-                    name: "(job)".into(),
-                    verdict: "unknown".into(),
-                    reason: Some(UnknownReason::Timeout.tag().into()),
-                    engine: job.spec.engine.clone(),
-                    detail: "deadline expired while queued".into(),
-                }];
+                let rows = vec![VerdictRow::unknown(
+                    "(job)",
+                    UnknownReason::Timeout.tag(),
+                    &job.spec.engine,
+                    "deadline expired while queued".into(),
+                )];
                 journal_done(inner, &job, &rows);
                 inner.completed.fetch_add(1, Ordering::Relaxed);
                 job.set_phase(JobPhase::Done, rows, false);
@@ -1235,18 +1249,13 @@ fn drive_execution(inner: &Arc<Inner>, exec: &Arc<Execution>) {
         run_execution(inner, exec);
     }));
     if let Err(payload) = outcome {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".into());
-        let rows = vec![VerdictRow {
-            name: "(worker)".into(),
-            verdict: "unknown".into(),
-            reason: Some(UnknownReason::EngineFailure.tag().into()),
-            engine: exec.job.spec.engine.clone(),
-            detail: format!("worker thread panicked: {msg}"),
-        }];
+        let msg = verdict_mc::portfolio::panic_message(payload.as_ref());
+        let rows = vec![VerdictRow::unknown(
+            "(worker)",
+            UnknownReason::EngineFailure.tag(),
+            &exec.job.spec.engine,
+            format!("worker thread panicked: {msg}"),
+        )];
         finalize_rows(inner, exec, rows, None);
     }
 }
@@ -1283,30 +1292,31 @@ fn run_execution(inner: &Arc<Inner>, exec: &Arc<Execution>) {
             partial: Vec::new(),
         }))))
     };
-    let timeout = exec
+    // The shared execution path, so local and remote verdicts agree
+    // structurally. The job's remaining deadline budget (queue wait
+    // charged) wins over the spec's own `deadline_ms`.
+    let mut base = CheckOptions::default()
+        .with_stop(Arc::clone(&exec.stop))
+        .with_supervision(Arc::clone(&exec.sup));
+    base.trace = sink;
+    base.timeout = exec
         .deadline
         .map(|d| d.saturating_duration_since(Instant::now()));
-    let (rows, stats) = execute_spec(
-        &exec.job.spec,
-        Arc::clone(&exec.stop),
-        sink,
-        Some(Arc::clone(&exec.sup)),
-        timeout,
-        exec.engine_override.as_deref(),
-    );
+    let ctx = ExecContext {
+        base,
+        engine_override: exec.engine_override.clone(),
+        jobs: 1,
+        ..ExecContext::default()
+    };
+    let (rows, stats) = verdict_mc::spec::execute(&exec.job.spec, &ctx);
     finalize_rows(inner, exec, rows, stats);
 }
 
 /// The verdict row recorded for a job whose worker hung past every
 /// escalation step.
 fn hung_row(spec: &JobSpec) -> VerdictRow {
-    VerdictRow {
-        name: "(job)".into(),
-        verdict: "unknown".into(),
-        reason: Some(UnknownReason::HungWorker.tag().into()),
-        engine: spec.engine.clone(),
-        detail: UnknownReason::HungWorker.to_string(),
-    }
+    let reason = UnknownReason::HungWorker;
+    VerdictRow::unknown("(job)", reason.tag(), &spec.engine, reason.to_string())
 }
 
 /// Appends the job's `done` record. A WAL failure here leaves the job
@@ -1653,34 +1663,6 @@ fn maybe_hedge(inner: &Arc<Inner>, exec: &Arc<Execution>) {
         .push(handle);
 }
 
-/// Runs a spec to a verdict-row list through the shared
-/// `verdict_mc::spec::execute` path — the same function the CLI's
-/// local sweep uses, which is what makes local and remote verdicts
-/// agree structurally. Public within the crate so the bench and the
-/// tests can execute specs exactly like a worker does. `timeout` (the
-/// job's remaining deadline budget) takes precedence over the spec's
-/// `deadline_ms`; `engine_override` replaces the spec's engine tag
-/// (hedged re-execution); `supervision` threads the heartbeat/poison
-/// handle into every engine budget poll.
-pub(crate) fn execute_spec(
-    spec: &JobSpec,
-    stop: Arc<AtomicBool>,
-    sink: Option<Arc<TraceSink>>,
-    supervision: Option<Arc<Supervision>>,
-    timeout: Option<Duration>,
-    engine_override: Option<&str>,
-) -> (Vec<VerdictRow>, Option<Stats>) {
-    let ctx = verdict_mc::spec::ExecContext {
-        stop: Some(stop),
-        sink,
-        supervision,
-        timeout,
-        engine_override: engine_override.map(str::to_string),
-        jobs: 1,
-    };
-    verdict_mc::spec::execute(spec, &ctx)
-}
-
 /// Serializes a job snapshot into a response document.
 fn status_json(job: &Arc<Job>) -> Json {
     let g = job.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -1832,10 +1814,7 @@ fn respond(req: &Request, inner: &Arc<Inner>, w: &mut UnixStream) -> io::Result<
                     w.write_all(line.as_bytes())?;
                     last_write = Instant::now();
                 }
-                let g = j.state.lock().unwrap_or_else(|e| e.into_inner());
-                let _ =
-                    j.cv.wait_timeout(g, Duration::from_millis(100))
-                        .unwrap_or_else(|e| e.into_inner());
+                j.wait_for_news(seen, Duration::from_millis(100));
             }
         }
         Request::Cancel { job } => match cancel(inner, *job) {
@@ -1876,5 +1855,51 @@ fn respond(req: &Request, inner: &Arc<Inner>, w: &mut UnixStream) -> io::Result<
                 ]),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The waiter's bound when nothing happens; a wait that returns well
+    /// under it was woken by (or never needed) a notify.
+    const TICK: Duration = Duration::from_millis(100);
+
+    fn job() -> Arc<Job> {
+        Job::new(1, JobSpec::check("system s { var n : 0..1; init n = 0; }"))
+    }
+
+    #[test]
+    fn wait_returns_at_once_for_a_job_finalized_before_the_wait() {
+        // The notify fires before the waiter reaches the condvar: a wait
+        // that does not re-check the phase under its own guard sleeps the
+        // whole tick here.
+        let j = job();
+        j.set_phase(JobPhase::Done, Vec::new(), false);
+        let start = Instant::now();
+        j.wait_for_news(0, TICK);
+        assert!(start.elapsed() < TICK / 2, "waited {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn wait_returns_at_once_for_events_it_has_not_seen() {
+        let j = job();
+        j.state
+            .lock()
+            .unwrap()
+            .events
+            .push("{\"kind\":\"mark\"}".to_string());
+        let start = Instant::now();
+        j.wait_for_news(0, TICK);
+        assert!(start.elapsed() < TICK / 2, "waited {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn wait_sleeps_out_the_tick_when_nothing_changes() {
+        let j = job();
+        let start = Instant::now();
+        j.wait_for_news(0, TICK);
+        assert!(start.elapsed() >= TICK, "woke after {:?}", start.elapsed());
     }
 }

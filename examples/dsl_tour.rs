@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example dsl_tour`
 
-use verdict::dsl::{parse, CompiledProperty};
+use verdict::dsl::parse;
 use verdict::prelude::*;
 
 const SOURCE: &str = r#"
@@ -37,12 +37,7 @@ fn main() {
 
     let verifier = Verifier::new(&model.system).options(CheckOptions::with_depth(24));
     for (name, property) in &model.properties {
-        let result = match property {
-            CompiledProperty::Invariant(p) => verifier.check_invariant(p),
-            CompiledProperty::Ltl(f) => verifier.check_ltl(f),
-            CompiledProperty::Ctl(f) => verifier.check_ctl(f),
-        }
-        .unwrap();
-        println!("property `{name}`: {result}");
+        let report = verifier.check(property).unwrap();
+        println!("property `{name}`: {}", report.result);
     }
 }

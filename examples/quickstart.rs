@@ -47,7 +47,10 @@ fn main() {
     let property = Expr::var(replicas).ge(Expr::int(2));
 
     let verifier = Verifier::new(&sys).options(CheckOptions::with_depth(16));
-    let result = verifier.check_invariant(&property).unwrap();
+    let result = verifier
+        .check(&CompiledProperty::Invariant(property.clone()))
+        .unwrap()
+        .result;
     println!("G(replicas >= 2):\n{result}");
     // The checker picks min_replicas = 1 and a run of low-load steps:
     // the scaler itself erodes the floor.

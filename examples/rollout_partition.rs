@@ -30,7 +30,8 @@ fn main() {
     let verifier = Verifier::new(&unsafe_sys)
         .engine(EngineKind::Bmc)
         .options(CheckOptions::with_depth(10));
-    let result = verifier.check_invariant(&model.property).unwrap();
+    let property = CompiledProperty::Invariant(model.property.clone());
+    let result = verifier.check(&property).unwrap().result;
     println!("p = 1, k = 2, m = 1 (the paper's Fig. 5 setting):");
     match result.trace() {
         Some(trace) => {
@@ -49,7 +50,7 @@ fn main() {
     // ---- 2. verification ----------------------------------------------
     let safe_sys = model.pinned(1, 0, 1);
     let verifier = Verifier::new(&safe_sys).options(CheckOptions::with_depth(24));
-    let result = verifier.check_invariant(&model.property).unwrap();
+    let result = verifier.check(&property).unwrap().result;
     println!("\np = 1, k = 0, m = 1: {result}");
 
     // ---- blast radius (§5 risk assessment) -----------------------------

@@ -22,6 +22,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     # baseline — removing or retyping a documented field without bumping
     # STATS_SCHEMA_VERSION fails here.
     cargo test -p verdict-cli --test schema_compat -q
+    # Benchmark build guard: perfbench is its own package compiled
+    # against the library API, so a library change that breaks the
+    # benchmark's build (or its stats/manifest tests) fails here.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 fi
 
 # Certified verdicts on the case-study examples: every counterexample must

@@ -22,9 +22,9 @@
 //! // The paper's Fig. 5 setting: p = m = 1, k = 2 — violated.
 //! let system = model.pinned(1, 2, 1);
 //! let verifier = Verifier::new(&system).options(CheckOptions::with_depth(8));
-//! let result = verifier.check_invariant(&model.property).unwrap();
-//! assert!(result.violated());
-//! println!("{result}"); // the counterexample of Fig. 5
+//! let report = verifier.check(&CompiledProperty::Invariant(model.property.clone())).unwrap();
+//! assert!(report.result.violated());
+//! println!("{}", report.result); // the counterexample of Fig. 5
 //! ```
 //!
 //! The workspace layers, bottom-up:
@@ -75,6 +75,7 @@ pub use verdict_incidents as incidents;
 
 /// The items most programs need.
 pub mod prelude {
+    pub use verdict_dsl::CompiledProperty;
     pub use verdict_logic::Rational;
     pub use verdict_mc::params::Property;
     pub use verdict_mc::{

@@ -17,9 +17,12 @@
 
 use std::time::Duration;
 
+use verdict_dsl::CompiledProperty;
 use verdict_journal::fault::{self, FaultKind, FaultPlan};
 use verdict_mc::params::{synthesize, Property, SynthesisEngine, SynthesisResult};
-use verdict_mc::{CheckOptions, CheckResult, EngineKind, RetryPolicy, UnknownReason, Verifier};
+use verdict_mc::{
+    CheckOptions, CheckResult, Durability, EngineKind, RetryPolicy, UnknownReason, Verifier,
+};
 use verdict_ts::{Expr, System, VarId};
 
 /// Case-study-style sweep model: which step sizes avoid hitting 5?
@@ -102,7 +105,16 @@ fn retry_fast() -> RetryPolicy {
 fn run_sweep(opts: &CheckOptions) -> SynthesisResult {
     let (sys, p) = step_system();
     let prop = step_property(&sys);
-    synthesize(&sys, &[p], &prop, SynthesisEngine::KInduction, opts).expect("sweep runs")
+    synthesize(
+        &sys,
+        &[p],
+        &prop,
+        SynthesisEngine::KInduction,
+        opts,
+        false,
+        &Durability::none(),
+    )
+    .expect("sweep runs")
 }
 
 fn sweep_opts() -> CheckOptions {
@@ -275,8 +287,9 @@ fn solo_engine_faults_are_contained() {
         let got = Verifier::new(sys)
             .engine(*engine)
             .options(opts.clone())
-            .check_invariant(prop)
-            .expect("contained fault is not an error");
+            .check(&CompiledProperty::Invariant(prop.clone()))
+            .expect("contained fault is not an error")
+            .result;
         fault::clear();
         match *engine {
             // The portfolio races several contenders; killing one lets
@@ -286,8 +299,9 @@ fn solo_engine_faults_are_contained() {
                 let clean = Verifier::new(sys)
                     .engine(*engine)
                     .options(opts.clone())
-                    .check_invariant(prop)
-                    .expect("clean run");
+                    .check(&CompiledProperty::Invariant(prop.clone()))
+                    .expect("clean run")
+                    .result;
                 if got.holds() || got.violated() {
                     assert_eq!(got.holds(), clean.holds(), "{ctx}: flipped");
                 } else {
@@ -331,12 +345,13 @@ fn journal_append_fault_degrades_to_unjournaled() {
         recorder: Some(&recorder),
         resume: Some(&resume),
     };
-    let got = verdict_mc::params::synthesize_durable(
+    let got = verdict_mc::params::synthesize(
         &sys,
         &[p],
         &prop,
         SynthesisEngine::KInduction,
         &opts,
+        false,
         &durability,
     )
     .expect("sweep survives journal failure");

@@ -7,6 +7,7 @@
 
 use verdict::prelude::*;
 use verdict_mc::params::{synthesize, Property, SynthesisEngine, SynthesisResult};
+use verdict_mc::Durability;
 
 /// The case-study-1 model with a 16-assignment (p, k, m) cross product.
 fn sweep_model() -> RolloutModel {
@@ -50,6 +51,8 @@ fn rollout_incremental_matches_clone_path() {
         &CheckOptions::with_depth(10)
             .with_jobs(1)
             .with_incremental(false),
+        false,
+        &Durability::none(),
     )
     .unwrap();
     assert_eq!(clone.verdicts.len(), 16, "4 × 2 × 2 assignments");
@@ -63,6 +66,8 @@ fn rollout_incremental_matches_clone_path() {
             &CheckOptions::with_depth(10)
                 .with_jobs(jobs)
                 .with_incremental(true),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         assert_same_verdicts(&clone, &inc, &format!("rollout jobs={jobs}"));
@@ -82,6 +87,8 @@ fn rollout_incremental_verdicts_survive_certification() {
         &CheckOptions::with_depth(10)
             .with_jobs(1)
             .with_incremental(false),
+        false,
+        &Durability::none(),
     )
     .unwrap();
     let certified = synthesize(
@@ -93,6 +100,8 @@ fn rollout_incremental_verdicts_survive_certification() {
             .with_jobs(2)
             .with_incremental(true)
             .with_certify(),
+        false,
+        &Durability::none(),
     )
     .unwrap();
     // Certification must not reject anything (no verdict demoted to
@@ -116,6 +125,8 @@ fn step_counter_dsl_incremental_matches_clone_path() {
         &prop,
         SynthesisEngine::KInduction,
         &CheckOptions::default().with_jobs(1).with_incremental(false),
+        false,
+        &Durability::none(),
     )
     .unwrap();
     assert_eq!(clone.verdicts.len(), 3);
@@ -133,6 +144,8 @@ fn step_counter_dsl_incremental_matches_clone_path() {
                 &prop,
                 SynthesisEngine::KInduction,
                 &opts,
+                false,
+                &Durability::none(),
             )
             .unwrap();
             assert_same_verdicts(

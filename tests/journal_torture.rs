@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use verdict_journal::fault;
-use verdict_mc::params::{synthesize, synthesize_durable, Property, SynthesisEngine};
+use verdict_mc::params::{synthesize, Property, SynthesisEngine};
 use verdict_mc::{CheckOptions, CheckResult, Durability};
 use verdict_prng::Prng;
 use verdict_ts::{Expr, System, VarId};
@@ -64,12 +64,13 @@ fn run_journaled(path: &Path, resume: bool) -> verdict_mc::params::SynthesisResu
         recorder: Some(&recorder),
         resume: Some(&state),
     };
-    synthesize_durable(
+    synthesize(
         &sys,
         &params,
         &prop,
         SynthesisEngine::KInduction,
         &opts,
+        false,
         &durability,
     )
     .expect("sweep runs")
@@ -78,7 +79,16 @@ fn run_journaled(path: &Path, resume: bool) -> verdict_mc::params::SynthesisResu
 fn reference() -> verdict_mc::params::SynthesisResult {
     let (sys, params) = sweep_model();
     let prop = sweep_property(&sys);
-    synthesize(&sys, &params, &prop, SynthesisEngine::KInduction, &opts()).expect("reference")
+    synthesize(
+        &sys,
+        &params,
+        &prop,
+        SynthesisEngine::KInduction,
+        &opts(),
+        false,
+        &Durability::none(),
+    )
+    .expect("reference")
 }
 
 /// Resumed verdict maps must match the uninterrupted run exactly —
@@ -218,12 +228,13 @@ fn stop_flag_interrupt_then_resume() {
             recorder: Some(&recorder),
             resume: Some(&state),
         };
-        let partial = synthesize_durable(
+        let partial = synthesize(
             &sys,
             &params,
             &prop,
             SynthesisEngine::KInduction,
             &interrupted_opts,
+            false,
             &durability,
         )
         .expect("interrupted sweep returns");

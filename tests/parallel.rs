@@ -3,8 +3,9 @@
 //! sharding must not change verdicts or their order, and the portfolio
 //! engine must agree with every sequential engine.
 
-use verdict_mc::params::{synthesize, synthesize_first_safe, Property, SynthesisEngine};
+use verdict_mc::params::{synthesize, Property, SynthesisEngine};
 use verdict_mc::prelude::*;
+use verdict_mc::Durability;
 use verdict_mc::Stats;
 use verdict_models::{RolloutModel, RolloutSpec, Topology};
 
@@ -30,6 +31,8 @@ fn synthesis_verdict_order_is_job_count_invariant() {
         &prop,
         SynthesisEngine::KInduction,
         &CheckOptions::with_depth(10).with_jobs(1),
+        false,
+        &Durability::none(),
     )
     .unwrap();
     assert_eq!(baseline.verdicts.len(), 16, "4 × 2 × 2 assignments");
@@ -40,6 +43,8 @@ fn synthesis_verdict_order_is_job_count_invariant() {
             &prop,
             SynthesisEngine::KInduction,
             &CheckOptions::with_depth(10).with_jobs(jobs),
+            false,
+            &Durability::none(),
         )
         .unwrap();
         assert_eq!(r.param_names, baseline.param_names);
@@ -67,12 +72,14 @@ fn first_safe_sweep_reports_a_genuinely_safe_assignment() {
     let model = sweep_model();
     let prop = Property::Invariant(model.property.clone());
     let params = [model.p, model.k, model.m];
-    let r = synthesize_first_safe(
+    let r = synthesize(
         &model.system,
         &params,
         &prop,
         SynthesisEngine::KInduction,
         &CheckOptions::with_depth(10).with_jobs(4),
+        true,
+        &Durability::none(),
     )
     .unwrap();
     let safe = r.safe();
@@ -84,6 +91,8 @@ fn first_safe_sweep_reports_a_genuinely_safe_assignment() {
         &prop,
         SynthesisEngine::KInduction,
         &CheckOptions::with_depth(10).with_jobs(1),
+        false,
+        &Durability::none(),
     )
     .unwrap();
     for values in safe {
@@ -108,7 +117,7 @@ fn portfolio_agrees_with_sequential_engines_on_case_study_1() {
         let report = Verifier::new(&sys)
             .engine(EngineKind::Portfolio)
             .options(opts.clone())
-            .check_invariant_report(&model.property)
+            .check(&CompiledProperty::Invariant(model.property.clone()))
             .unwrap();
         assert_eq!(
             report.result.violated(),
